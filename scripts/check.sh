@@ -40,9 +40,14 @@
 # * cache-smoke — replays traces/facebook_like.jsonl twice against a fresh
 #                 content-addressed replay cache (cold then warm), fails
 #                 unless the digests agree and the warm run reports zero
-#                 misses, then corrupts a stored entry and requires the
-#                 rerun to survive it (reported miss, digest unchanged) and
-#                 `grass-experiments cache stats|verify` to succeed
+#                 misses, re-runs the warm replay under `python -X
+#                 importtime` (prints the ten largest cumulative imports and
+#                 fails if the cache-hit path imported the engine, a policy,
+#                 the executor, the figures, workload generation, ingest,
+#                 asyncio or multiprocessing), then corrupts a stored entry
+#                 and requires the rerun to survive it (reported miss,
+#                 digest unchanged) and `grass-experiments cache
+#                 stats|verify` to succeed
 # * cluster-replay — replays the generated cluster tier (CLUSTER_JOBS jobs,
 #                 default 20000) fully streaming at --workers 1 and 4, fails
 #                 unless the digests agree and peak resident jobs stay under
@@ -229,8 +234,32 @@ run_cache_smoke() {
     fi
     echo "  sha256=$cold_digest (warm run: 0 misses)"
 
+    # Where a cache hit's start-up time goes, without a profiler: the hit
+    # path must load only plan, cache and fold code (the same denylist as
+    # tests/test_import_diet.py).
+    echo "cache-smoke: warm replay under -X importtime (cache-hit import diet)"
+    local import_log denied
+    import_log="$tmpdir/importtime.txt"
+    python -X importtime -m repro.experiments.cli replay \
+        --trace "$trace" --scale quick --shards 2 --seed 0 \
+        --cache "$cachedir" > /dev/null 2> "$import_log" \
+        || { cat "$import_log" >&2; rm -rf "$tmpdir"; return 1; }
+    echo "  ten largest cumulative imports (microseconds):"
+    grep '^import time:' "$import_log" | sort -t'|' -k2 -n -r | sed -n '1,10p' \
+        | awk -F'|' '{gsub(/ +$/, "", $2); printf "    %10s  %s\n", $2, $3}'
+    denied="$(awk -F'|' '/^import time:/ {gsub(/^ +| +$/, "", $3); print $3}' "$import_log" \
+        | grep -E '^(repro\.simulator\.engine|repro\.core\.policies(\..*)?|repro\.baselines(\..*)?|repro\.experiments\.(executor|figures)|repro\.workload\.(synthetic|ingest)|asyncio(\..*)?|multiprocessing(\..*)?)$' \
+        | sort -u || true)"
+    if [ -n "$denied" ]; then
+        echo "cache-smoke: FAILED — the cache-hit replay imported:" >&2
+        printf '  %s\n' $denied >&2
+        rm -rf "$tmpdir"
+        return 1
+    fi
+    echo "  no engine, policy, executor, figure, generator, ingest, asyncio or multiprocessing import"
+
     echo "cache-smoke: corrupting one stored entry"
-    entry="$(find "$cachedir" -name '*.json' | sort | head -1)"
+    entry="$(find "$cachedir" -path "$cachedir/??/*.json" | sort | head -1)"
     if [ -z "$entry" ]; then
         echo "cache-smoke: FAILED — no cache entries written" >&2
         rm -rf "$tmpdir"

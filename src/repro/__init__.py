@@ -2,7 +2,8 @@
 
 A faithful, simulator-backed reproduction of *GRASS: Trimming Stragglers in
 Approximation Analytics* (NSDI 2014).  The public API re-exports the pieces a
-downstream user typically needs:
+downstream user typically needs (lazily: each name is imported on first
+use, so importing one submodule never loads the rest of the package):
 
 * job/task modelling and approximation bounds (:mod:`repro.core`),
 * the GS / RAS / GRASS speculation policies (:mod:`repro.core.policies`),
@@ -24,35 +25,35 @@ Quick start::
     print(metrics.summary())
 """
 
-from repro.baselines import LatePolicy, MantriPolicy, NoSpeculationPolicy, OraclePolicy
-from repro.core.bounds import ApproximationBound, BoundType
-from repro.core.estimators import EstimatorConfig, TaskEstimator
-from repro.core.job import Job, JobPhaseSpec, JobResult, JobSpec, job_bin_label
-from repro.core.policies import (
-    Grass,
-    GrassConfig,
-    GreedySpeculative,
-    ResourceAwareSpeculative,
-    SampleStore,
-    SchedulingView,
-    SpeculationPolicy,
-    TaskSnapshot,
-)
-from repro.core.task import CopyState, Task, TaskCopy, TaskSpec, TaskState
-from repro.simulator import (
-    Cluster,
-    ClusterConfig,
-    MetricsCollector,
-    Simulation,
-    SimulationConfig,
-    StragglerConfig,
-    StragglerModel,
-)
-from repro.workload.synthetic import (
-    GeneratedWorkload,
-    SyntheticWorkloadGenerator,
-    WorkloadConfig,
-    generate_workload,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.baselines.late": ("LatePolicy",),
+        "repro.baselines.mantri": ("MantriPolicy",),
+        "repro.baselines.none": ("NoSpeculationPolicy",),
+        "repro.baselines.oracle": ("OraclePolicy",),
+        "repro.core.bounds": ("ApproximationBound", "BoundType"),
+        "repro.core.estimators": ("EstimatorConfig", "TaskEstimator"),
+        "repro.core.job": ("Job", "JobPhaseSpec", "JobResult", "JobSpec", "job_bin_label"),
+        "repro.core.policies.base": ("SchedulingView", "SpeculationPolicy", "TaskSnapshot"),
+        "repro.core.policies.grass": ("Grass", "GrassConfig"),
+        "repro.core.policies.gs": ("GreedySpeculative",),
+        "repro.core.policies.ras": ("ResourceAwareSpeculative",),
+        "repro.core.policies.samples": ("SampleStore",),
+        "repro.core.task": ("CopyState", "Task", "TaskCopy", "TaskSpec", "TaskState"),
+        "repro.simulator.cluster": ("Cluster", "ClusterConfig"),
+        "repro.simulator.engine": ("Simulation", "SimulationConfig"),
+        "repro.simulator.metrics": ("MetricsCollector",),
+        "repro.simulator.stragglers": ("StragglerConfig", "StragglerModel"),
+        "repro.workload.synthetic": (
+            "GeneratedWorkload",
+            "SyntheticWorkloadGenerator",
+            "WorkloadConfig",
+            "generate_workload",
+        ),
+    },
 )
 
 __version__ = "1.0.0"

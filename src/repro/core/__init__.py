@@ -8,9 +8,16 @@ This package holds the paper's primary contribution:
 * :mod:`repro.core.policies` — GS, RAS and GRASS (Pseudocode 1 & 2, §4).
 """
 
-from repro.core.bounds import ApproximationBound, BoundType
-from repro.core.job import Job, JobPhaseSpec, JobSpec
-from repro.core.task import CopyState, Task, TaskCopy, TaskSpec, TaskState
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.bounds": ("ApproximationBound", "BoundType"),
+        "repro.core.job": ("Job", "JobPhaseSpec", "JobSpec"),
+        "repro.core.task": ("CopyState", "Task", "TaskCopy", "TaskSpec", "TaskState"),
+    },
+)
 
 __all__ = [
     "ApproximationBound",

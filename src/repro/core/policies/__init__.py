@@ -12,20 +12,27 @@
 * :mod:`repro.core.policies.grass` — GRASS itself (§4).
 """
 
-from repro.core.policies.base import (
-    SchedulingDecision,
-    SchedulingView,
-    SpeculationPolicy,
-    TaskSnapshot,
-)
-from repro.core.policies.gs import GreedySpeculative
-from repro.core.policies.grass import Grass, GrassConfig
-from repro.core.policies.ras import ResourceAwareSpeculative
-from repro.core.policies.samples import JobSample, SampleStore
-from repro.core.policies.switching import (
-    LearnedSwitchDecider,
-    StrawmanSwitchDecider,
-    SwitchDecider,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.policies.base": (
+            "SchedulingDecision",
+            "SchedulingView",
+            "SpeculationPolicy",
+            "TaskSnapshot",
+        ),
+        "repro.core.policies.gs": ("GreedySpeculative",),
+        "repro.core.policies.grass": ("Grass", "GrassConfig"),
+        "repro.core.policies.ras": ("ResourceAwareSpeculative",),
+        "repro.core.policies.samples": ("JobSample", "SampleStore"),
+        "repro.core.policies.switching": (
+            "LearnedSwitchDecider",
+            "StrawmanSwitchDecider",
+            "SwitchDecider",
+        ),
+    },
 )
 
 __all__ = [

@@ -10,16 +10,23 @@
 * :mod:`repro.experiments.cli` — ``grass-experiments <figure>`` command line.
 """
 
-from repro.experiments.executor import ParallelExecutor, RunRequest
-from repro.experiments.policies import available_policies, make_policy
-from repro.experiments.runner import (
-    ComparisonResult,
-    ExperimentScale,
-    PolicyRun,
-    compare_policies,
-    improvement_in_accuracy,
-    improvement_in_duration,
-    run_policy,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.executor": ("ParallelExecutor", "RunRequest"),
+        "repro.experiments.policies": ("available_policies", "make_policy"),
+        "repro.experiments.runner": (
+            "ComparisonResult",
+            "ExperimentScale",
+            "PolicyRun",
+            "compare_policies",
+            "improvement_in_accuracy",
+            "improvement_in_duration",
+            "run_policy",
+        ),
+    },
 )
 
 __all__ = [

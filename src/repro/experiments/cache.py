@@ -22,10 +22,13 @@ An entry's key is the sha256 over the canonical JSON of:
 * the **source fingerprint**: sha256 of the trace file's bytes, or the
   canonical dict of a generated tier's config — edit one row of a trace and
   every key under it changes;
-* the **engine fingerprint**: sha256 over the digest-relevant
-  ``repro.{core,simulator,workload}`` sources, so editing the simulator
-  silently invalidates every entry computed by the old engine (the entries
-  become unreachable keys, reclaimed by eviction or ``cache clear``).
+* the **engine fingerprint**: sha256 over the digest-relevant sources —
+  ``repro.{baselines,core,simulator,utils,workload}`` plus the experiments
+  modules that configure and run a slice (:data:`ENGINE_MODULES`) — and the
+  interpreter's major.minor version, so editing the simulator silently
+  invalidates every entry computed by the old engine (the entries become
+  unreachable keys, reclaimed by eviction or ``cache clear``).  It is plain
+  file hashing: a hit pays about a millisecond for it.
 
 The value is the slice's sealed :class:`~repro.simulator.sinks.AggregateChunk`
 in its existing wire encoding plus the collector's scalar counters — enough
@@ -47,6 +50,16 @@ the entry file's mtime).
 Corrupt, truncated or wrong-version entries are treated as misses with a
 one-line :class:`CacheIntegrityWarning` and are deleted (the next store
 rewrites them); they never crash a replay.
+
+Scan records
+------------
+
+``<root>/scans/<key>.json`` persists a source's calibration scan
+(:class:`~repro.workload.traces.TraceScan`: job count, mean
+slowest-to-median ratio, arrival-sortedness), keyed by the source's content
+fingerprint and the engine fingerprint.  A record is written only after a
+scan succeeds and is read back under the same integrity checks as slice
+entries, so a replay whose slices all hit reads the trace only to hash it.
 """
 
 from __future__ import annotations
@@ -56,11 +69,12 @@ import hashlib
 import itertools
 import json
 import os
+import sys
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import repro
 from repro.simulator.metrics import MetricsCollector
@@ -71,17 +85,30 @@ from repro.simulator.sinks import (
     chunk_to_wire,
 )
 from repro.utils.stats import OnlineStats
-from repro.workload.trace_replay import ClusterTierConfig
+from repro.workload.traces import ClusterTierConfig, TraceScan
 
 #: Bump when the entry payload layout changes; older files become warned
 #: misses (satellite contract: never crash, never silently misread).
 CACHE_FORMAT_VERSION = 1
 
-#: ``repro`` subpackages whose sources can change a replay digest.  The
-#: experiments package itself is deliberately absent: it decides *what* to
-#: simulate (already keyed by the plan slice) and how to cache, not how a
-#: simulation behaves.
-ENGINE_PACKAGES = ("core", "simulator", "workload")
+#: ``repro`` subpackages whose sources can change a replay digest.
+ENGINE_PACKAGES = ("baselines", "core", "simulator", "utils", "workload")
+
+#: ``repro.experiments`` modules that change how a slice simulates: the policy
+#: registry, the slice's simulation config and spec wiring, request
+#: execution, and warm-up.  The rest of the package decides *what* to
+#: simulate (already keyed by the plan slice), folds slices, or caches them.
+#: tests/test_replay_cache.py simulates every registered policy and fails if
+#: a loaded ``repro`` module is neither fingerprinted nor allowlisted there.
+ENGINE_MODULES = (
+    "experiments/executor.py",
+    "experiments/policies.py",
+    "experiments/simulate.py",
+    "experiments/warmup.py",
+)
+
+#: Subdirectory of the cache root holding calibration scan records.
+SCAN_DIR = "scans"
 
 
 class CacheIntegrityWarning(UserWarning):
@@ -108,6 +135,16 @@ _ENGINE_FINGERPRINTS: Dict[str, str] = {}
 _SOURCE_FINGERPRINTS: Dict[Tuple[str, int, int, int], str] = {}
 
 
+def engine_source_files(base: Path) -> List[Path]:
+    """The source files :func:`engine_fingerprint` hashes under ``base``, in
+    hashing order (sorted by relative path).  A listed module missing from
+    ``base`` is skipped; the closure test guards against that in the
+    installed package."""
+    files = [path for package in ENGINE_PACKAGES for path in (base / package).rglob("*.py")]
+    files += [base / module for module in ENGINE_MODULES if (base / module).is_file()]
+    return sorted(files, key=lambda path: path.relative_to(base).as_posix())
+
+
 def engine_fingerprint(root: Optional[Union[str, Path]] = None) -> str:
     """sha256 over the digest-relevant engine sources (see module docs).
 
@@ -115,7 +152,9 @@ def engine_fingerprint(root: Optional[Union[str, Path]] = None) -> str:
     it defaults to the installed package and exists as a parameter so the
     invalidation tests can fingerprint an edited copy.  Files are folded in
     sorted relative-path order with their paths mixed in, so renames — not
-    just edits — change the fingerprint.
+    just edits — change the fingerprint.  The interpreter's major.minor
+    version is folded in too: ``random``'s internals and float formatting
+    belong to the interpreter.
     """
     base = Path(root) if root is not None else Path(repro.__file__).resolve().parent
     memo_key = str(base)
@@ -123,12 +162,13 @@ def engine_fingerprint(root: Optional[Union[str, Path]] = None) -> str:
     if cached is not None:
         return cached
     hasher = hashlib.sha256()
-    for package in ENGINE_PACKAGES:
-        for path in sorted((base / package).rglob("*.py")):
-            hasher.update(path.relative_to(base).as_posix().encode("utf-8"))
-            hasher.update(b"\x00")
-            hasher.update(path.read_bytes())
-            hasher.update(b"\x00")
+    hasher.update("python {}.{}".format(*sys.version_info[:2]).encode("utf-8"))
+    hasher.update(b"\x00")
+    for path in engine_source_files(base):
+        hasher.update(path.relative_to(base).as_posix().encode("utf-8"))
+        hasher.update(b"\x00")
+        hasher.update(path.read_bytes())
+        hasher.update(b"\x00")
     digest = hasher.hexdigest()
     _ENGINE_FINGERPRINTS[memo_key] = digest
     return digest
@@ -284,6 +324,22 @@ class CachedSlice:
         )
 
 
+def _scan_from_wire(wire: Dict[str, object]) -> TraceScan:
+    """Decode a scan record's ``scan`` field, strictly typed."""
+    num_jobs = wire["num_jobs"]
+    ratio = wire["mean_slowest_to_median"]
+    arrival_sorted = wire["arrival_sorted"]
+    if type(num_jobs) is not int or num_jobs < 1:
+        raise ValueError(f"bad num_jobs {num_jobs!r}")
+    if type(ratio) is not float:
+        raise ValueError(f"bad mean_slowest_to_median {ratio!r}")
+    if type(arrival_sorted) is not bool:
+        raise ValueError(f"bad arrival_sorted {arrival_sorted!r}")
+    return TraceScan(
+        num_jobs=num_jobs, mean_slowest_to_median=ratio, arrival_sorted=arrival_sorted
+    )
+
+
 # -- counters ----------------------------------------------------------------------
 
 
@@ -332,6 +388,8 @@ class StoreStats:
     stale_engine_entries: int = 0
     #: Files that do not parse as current-version entries.
     invalid_files: int = 0
+    #: Calibration scan records (one per source and engine fingerprint).
+    scan_records: int = 0
 
 
 # -- the cache ---------------------------------------------------------------------
@@ -408,16 +466,7 @@ class ReplayCache:
         if cached is None:
             self.counters.invalid += 1
             self.counters.misses += 1
-            warnings.warn(
-                f"replay cache: treating {path} as a miss ({reason}); "
-                "the entry will be recomputed and overwritten",
-                CacheIntegrityWarning,
-                stacklevel=2,
-            )
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            self._discard(path, reason)
             return None
         self.counters.hits += 1
         self.counters.bytes_read += len(raw)
@@ -428,6 +477,19 @@ class ReplayCache:
     def _decode_entry(
         self, raw: bytes, key: str
     ) -> Tuple[Optional[CachedSlice], str]:
+        payload, reason = self._decode_payload(raw, key)
+        if payload is None:
+            return None, reason
+        try:
+            return CachedSlice.from_payload(payload), ""
+        except (KeyError, TypeError, ValueError) as exc:
+            return None, f"corrupt entry: {exc}"
+
+    def _decode_payload(
+        self, raw: bytes, key: str
+    ) -> Tuple[Optional[Dict[str, object]], str]:
+        """The checks every stored file passes: JSON object, format version,
+        engine and content-addressed key."""
         try:
             payload = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
@@ -443,10 +505,21 @@ class ReplayCache:
             # The key hashes (engine, slice); a mismatch inside a matching
             # file means the file's content does not belong to its name.
             return None, "entry does not match its content-addressed key"
+        return payload, ""
+
+    @staticmethod
+    def _discard(path: Path, reason: str) -> None:
+        """Warn about and delete a file that failed validation."""
+        warnings.warn(
+            f"replay cache: treating {path} as a miss ({reason}); "
+            "the entry will be recomputed and overwritten",
+            CacheIntegrityWarning,
+            stacklevel=3,
+        )
         try:
-            return CachedSlice.from_payload(payload), ""
-        except (KeyError, TypeError, ValueError) as exc:
-            return None, f"corrupt entry: {exc}"
+            path.unlink()
+        except OSError:
+            pass
 
     @staticmethod
     def _touch(path: Path) -> None:
@@ -481,16 +554,19 @@ class ReplayCache:
             "counters": cached.counters_wire(),
         }
         raw = canonical_json_bytes(payload)
-        path = self.entry_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{key}.{os.getpid()}.{next(self._tmp_sequence)}.tmp"
-        tmp.write_bytes(raw)
-        os.replace(tmp, path)
+        self._write_atomic(self.entry_path(key), raw)
         self.counters.stores += 1
         self.counters.bytes_written += len(raw)
         self._remember(key, cached)
         if self.max_bytes is not None:
             self._evict_to_budget(keep=key)
+
+    def _write_atomic(self, path: Path, raw: bytes) -> None:
+        """Land ``raw`` at ``path`` via a unique temp file and ``os.replace``."""
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.parent / f".{path.stem}.{os.getpid()}.{next(self._tmp_sequence)}.tmp"
+        tmp.write_bytes(raw)
+        os.replace(tmp, path)
 
     def _remember(self, key: str, cached: CachedSlice) -> None:
         self._memory[key] = cached
@@ -531,6 +607,53 @@ class ReplayCache:
             self.counters.evictions += 1
             self._memory.pop(path.stem, None)
 
+    # -- calibration scan records ---------------------------------------------
+
+    def scan_key(self, source: str) -> str:
+        """The scan record key for a source content fingerprint."""
+        material = canonical_json_bytes(
+            {"version": CACHE_FORMAT_VERSION, "engine": self.engine, "scan": source}
+        )
+        return hashlib.sha256(material).hexdigest()
+
+    def scan_path(self, key: str) -> Path:
+        return self.root / SCAN_DIR / f"{key}.json"
+
+    def lookup_scan(self, source: str) -> Optional[TraceScan]:
+        """The recorded calibration scan of a source, or ``None``.
+
+        A record that fails validation warns (:class:`CacheIntegrityWarning`),
+        is deleted and reads as absent, so the caller rescans and rewrites it.
+        """
+        key = self.scan_key(source)
+        path = self.scan_path(key)
+        try:
+            raw = path.read_bytes()
+        except OSError:
+            return None
+        payload, reason = self._decode_payload(raw, key)
+        scan = None
+        if payload is not None:
+            try:
+                scan = _scan_from_wire(payload["scan"])
+            except (KeyError, TypeError, ValueError) as exc:
+                reason = f"corrupt entry: {exc}"
+        if scan is None:
+            self._discard(path, reason)
+        return scan
+
+    def store_scan(self, source: str, scan: TraceScan) -> None:
+        """Record a successful calibration scan of a source (atomic write)."""
+        key = self.scan_key(source)
+        payload = {
+            "version": CACHE_FORMAT_VERSION,
+            "engine": self.engine,
+            "key": key,
+            "source": source,
+            "scan": dataclasses.asdict(scan),
+        }
+        self._write_atomic(self.scan_path(key), canonical_json_bytes(payload))
+
     # -- maintenance (the ``cache`` CLI verb's backend) ------------------------
 
     def iter_entries(self) -> Iterator[Tuple[Path, Optional[Dict[str, object]]]]:
@@ -568,10 +691,12 @@ class ReplayCache:
             total_bytes=total_bytes,
             stale_engine_entries=stale,
             invalid_files=invalid,
+            scan_records=len(list(self.root.glob(f"{SCAN_DIR}/*.json"))),
         )
 
     def clear(self) -> int:
-        """Remove every entry file; returns how many were deleted."""
+        """Remove every entry file and scan record; returns how many entries
+        were deleted."""
         removed = 0
         for path in sorted(self.root.glob("??/*.json")):
             try:
@@ -579,10 +704,11 @@ class ReplayCache:
             except OSError:
                 continue
             removed += 1
-        for path in sorted(self.root.glob("??/.*.tmp")):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        for pattern in (f"{SCAN_DIR}/*.json", "??/.*.tmp", f"{SCAN_DIR}/.*.tmp"):
+            for path in sorted(self.root.glob(pattern)):
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
         self._memory.clear()
         return removed

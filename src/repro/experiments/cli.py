@@ -69,7 +69,6 @@ import time
 from dataclasses import replace
 from typing import List, Optional
 
-from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.plan import PlanError, add_plan_arguments, plan_from_args
 from repro.experiments.runner import (
     ExperimentScale,
@@ -78,8 +77,10 @@ from repro.experiments.runner import (
     plan_scale,
 )
 from repro.simulator.sinks import parse_sink_spec
-from repro.workload.ingest import INGEST_FORMATS, DEFAULT_CLOSE_GAP, ingest_trace
 from repro.workload.traces import TraceFormatError
+
+# The figure harness and the ingest converter are imported by the verbs that
+# use them: a replay served from the cache loads neither.
 
 __all__ = [
     "build_parser",
@@ -101,6 +102,8 @@ _SCALES = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.figures import FIGURES
+
     parser = argparse.ArgumentParser(
         prog="grass-experiments",
         description="Regenerate the tables and figures of the GRASS paper "
@@ -155,6 +158,8 @@ def build_replay_parser() -> argparse.ArgumentParser:
 
 
 def build_ingest_parser() -> argparse.ArgumentParser:
+    from repro.workload.ingest import DEFAULT_CLOSE_GAP, INGEST_FORMATS
+
     parser = argparse.ArgumentParser(
         prog="grass-experiments ingest",
         description="Convert a real cluster trace (Google cluster-traces "
@@ -213,6 +218,8 @@ def build_ingest_parser() -> argparse.ArgumentParser:
 
 
 def ingest_main(argv: List[str]) -> int:
+    from repro.workload.ingest import ingest_trace
+
     args = build_ingest_parser().parse_args(argv)
     if args.limit_jobs is not None and args.limit_jobs < 1:
         print("--limit-jobs must be >= 1", file=sys.stderr)
@@ -308,6 +315,7 @@ def cache_main(argv: List[str]) -> int:
         print(f"  total bytes          {stats.total_bytes}")
         print(f"  stale engine entries {stats.stale_engine_entries}")
         print(f"  invalid files        {stats.invalid_files}")
+        print(f"  scan records         {stats.scan_records}")
         print(f"  engine fingerprint   {cache.engine[:16]}...")
         return 0
     if args.action == "clear":
@@ -502,6 +510,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.repeat < 1:
         print("--repeat must be >= 1", file=sys.stderr)
         return 2
+    from repro.experiments.figures import FIGURES, run_figure
+
     scale = replace(_SCALES[args.scale](), workers=args.workers)
     names = sorted(FIGURES) if args.figure == "all" else [args.figure]
     for name in names:

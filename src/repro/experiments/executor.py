@@ -37,11 +37,18 @@ Determinism contract
 
 The serial path (``workers=1``) does not touch ``multiprocessing`` at all,
 which keeps unit tests and platforms without ``fork`` happy.
+
+Fork safety
+-----------
+
+Every worker pool in the package is created here (:func:`pool_map` and
+:meth:`ParallelExecutor.run_stream`), and this module imports the engine and
+the policy registry at module top.  A forked worker therefore inherits both
+already imported and never pays for importing them again.
 """
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 import multiprocessing
 import os
@@ -205,6 +212,13 @@ def _execute_request(request: RunRequest) -> MetricsCollector:
         ) from None
 
 
+def pool_map(func: Callable[[Any], Any], items: Sequence[Any], workers: int) -> List[Any]:
+    """``func`` over ``items`` on a pool of ``min(workers, len(items))``
+    processes, results in item order."""
+    with multiprocessing.Pool(processes=min(workers, len(items))) as pool:
+        return pool.map(func, items)
+
+
 def default_worker_count() -> int:
     """Worker count used when the caller passes ``workers=0`` ("auto")."""
     return max(1, (os.cpu_count() or 2) - 1)
@@ -247,11 +261,11 @@ class ParallelExecutor:
         ]
         results: List[Optional[MetricsCollector]] = [None] * len(requests)
         if self.workers > 1 and len(safe_indices) > 1:
-            pool_size = min(self.workers, len(safe_indices))
-            with multiprocessing.Pool(processes=pool_size) as pool:
-                fanned_out = pool.map(
-                    _execute_request, [requests[index] for index in safe_indices]
-                )
+            fanned_out = pool_map(
+                _execute_request,
+                [requests[index] for index in safe_indices],
+                self.workers,
+            )
             for index, metrics in zip(safe_indices, fanned_out):
                 results[index] = metrics
         for index, request in enumerate(requests):
@@ -356,6 +370,8 @@ class AsyncBridge:
 
     async def submit(self, func: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
         """Run ``func(*args, **kwargs)`` on the bridge pool and await it."""
+        import asyncio
+
         loop = asyncio.get_running_loop()
         if kwargs:
             call = lambda: func(*args, **kwargs)  # noqa: E731
@@ -375,6 +391,8 @@ class AsyncBridge:
         loop in call order, which preserves the deterministic shard-major
         delta order of ``runner.execute``'s ``on_metrics`` hook.
         """
+        import asyncio
+
         loop = asyncio.get_running_loop()
 
         def schedule(*args: Any) -> None:

@@ -36,21 +36,37 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from repro.experiments.policies import available_policies
 from repro.simulator.sinks import parse_sink_spec
-from repro.workload.profiles import available_frameworks
-from repro.workload.synthetic import (
-    BOUND_DEADLINE,
-    BOUND_ERROR,
-    BOUND_EXACT,
-    BOUND_MIXED,
-)
+
+# The name tuples below are static copies of the registries they mirror, so
+# validating a plan never imports a policy, the workload generator or the
+# framework profiles.  tests/test_import_diet.py locks each one equal to its
+# registry.
 
 #: Experiment-scale names a plan may reference (resolved by the runner).
 PLAN_SCALES = ("quick", "default", "paper")
 
-#: Bound kinds a plan may assign to replayed jobs.
-PLAN_BOUND_KINDS = (BOUND_DEADLINE, BOUND_ERROR, BOUND_EXACT, BOUND_MIXED)
+#: Policy names a plan may reference: ``experiments.policies.available_policies()``.
+PLAN_POLICIES = (
+    "grass",
+    "grass-1factor",
+    "grass-2factor",
+    "grass-2factor-accuracy",
+    "grass-strawman",
+    "gs",
+    "late",
+    "mantri",
+    "no-spec",
+    "oracle",
+    "ras",
+)
+
+#: Framework profiles a plan may reference: ``workload.profiles.available_frameworks()``.
+PLAN_FRAMEWORKS = ("hadoop", "spark")
+
+#: Bound kinds a plan may assign to replayed jobs: the ``workload.synthetic``
+#: ``BOUND_*`` constants.
+PLAN_BOUND_KINDS = ("deadline", "error", "exact", "mixed")
 
 
 class PlanError(ValueError):
@@ -222,7 +238,7 @@ class ReplayPlan:
     )
     #: Approximation bounds assigned to replayed jobs.
     bound_kind: str = field(
-        default=BOUND_MIXED,
+        default="mixed",
         metadata=_cli(
             choices=PLAN_BOUND_KINDS,
             help="approximation bounds assigned to replayed jobs (default mixed)",
@@ -290,12 +306,12 @@ class ReplayPlan:
             raise PlanError("--max-resident-shards must be >= 1")
         if not self.policies:
             raise PlanError("a plan needs at least one policy")
-        unknown = [name for name in self.policies if name not in available_policies()]
+        unknown = [name for name in self.policies if name not in PLAN_POLICIES]
         if unknown:
             raise PlanError(
                 f"unknown polic{'ies' if len(unknown) > 1 else 'y'} "
                 f"{', '.join(unknown)}; expected one of "
-                f"{', '.join(available_policies())}"
+                f"{', '.join(PLAN_POLICIES)}"
             )
         if self.scale not in PLAN_SCALES:
             raise PlanError(
@@ -304,10 +320,10 @@ class ReplayPlan:
             )
         if self.seeds is not None and not self.seeds:
             raise PlanError("--seeds needs at least one seed (or omit it)")
-        if self.framework not in available_frameworks():
+        if self.framework not in PLAN_FRAMEWORKS:
             raise PlanError(
                 f"unknown framework {self.framework!r}; expected one of "
-                f"{', '.join(available_frameworks())}"
+                f"{', '.join(PLAN_FRAMEWORKS)}"
             )
         if self.bound_kind not in PLAN_BOUND_KINDS:
             raise PlanError(

@@ -25,6 +25,8 @@ def _grass(config: Optional[GrassConfig] = None) -> Grass:
     return Grass(config=config or GrassConfig())
 
 
+#: Mirrored by ``repro.experiments.plan.PLAN_POLICIES`` (test-locked): add a
+#: policy to both.
 _REGISTRY: Dict[str, PolicyFactory] = {
     "no-spec": NoSpeculationPolicy,
     "late": LatePolicy,

@@ -35,9 +35,9 @@ object, so for a policy without cross-job state it is pure waste.
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.executor import pool_map
 from repro.experiments.policies import make_policy
 from repro.simulator.engine import Simulation, SimulationConfig
 from repro.workload.synthetic import GeneratedWorkload
@@ -134,12 +134,11 @@ class WarmupCache:
         if not missing:
             return
         if workers > 1 and len(missing) > 1:
-            pool_size = min(workers, len(missing))
-            with multiprocessing.Pool(processes=pool_size) as pool:
-                snapshots: List[object] = pool.map(
-                    _warm_one,
-                    [(name, self.warmup, self.warmup_config) for name in missing],
-                )
+            snapshots: List[object] = pool_map(
+                _warm_one,
+                [(name, self.warmup, self.warmup_config) for name in missing],
+                workers,
+            )
             for name, snapshot in zip(missing, snapshots):
                 self._snapshots[self._key(name)] = snapshot
                 self.misses += 1

@@ -5,20 +5,27 @@ machines, slots, straggler behaviour and event loop on which the speculation
 policies (GS, RAS, GRASS and the baselines) are exercised.
 """
 
-from repro.simulator.cluster import Cluster, ClusterConfig
-from repro.simulator.engine import Simulation, SimulationConfig
-from repro.simulator.events import Event, EventKind, EventQueue
-from repro.simulator.machine import Machine
-from repro.simulator.metrics import MetricsCollector
-from repro.simulator.sinks import (
-    AggregateSink,
-    JsonlSpillSink,
-    ResultSink,
-    RetainAllSink,
-    SinkFactory,
-    StreamingAggregates,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.simulator.cluster": ("Cluster", "ClusterConfig"),
+        "repro.simulator.engine": ("Simulation", "SimulationConfig"),
+        "repro.simulator.events": ("Event", "EventKind", "EventQueue"),
+        "repro.simulator.machine": ("Machine",),
+        "repro.simulator.metrics": ("MetricsCollector",),
+        "repro.simulator.sinks": (
+            "AggregateSink",
+            "JsonlSpillSink",
+            "ResultSink",
+            "RetainAllSink",
+            "SinkFactory",
+            "StreamingAggregates",
+        ),
+        "repro.simulator.stragglers": ("StragglerConfig", "StragglerModel"),
+    },
 )
-from repro.simulator.stragglers import StragglerConfig, StragglerModel
 
 __all__ = [
     "AggregateSink",

@@ -1,14 +1,21 @@
 """Small shared utilities: deterministic RNG streams and statistics helpers."""
 
-from repro.utils.rng import RngStream, spawn_rng
-from repro.utils.stats import (
-    OnlineMean,
-    OnlineStats,
-    clamp,
-    mean,
-    median,
-    percentile,
-    weighted_mean,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.utils.rng": ("RngStream", "spawn_rng"),
+        "repro.utils.stats": (
+            "OnlineMean",
+            "OnlineStats",
+            "clamp",
+            "mean",
+            "median",
+            "percentile",
+            "weighted_mean",
+        ),
+    },
 )
 
 __all__ = [

@@ -8,58 +8,65 @@ mix, multi-waved execution, and the §6.1 recipe for assigning deadlines
 (2–20 % over the ideal duration) and error bounds (5–30 %).
 """
 
-from repro.workload.bins import (
-    DEADLINE_BINS,
-    ERROR_BINS,
-    JOB_SIZE_BINS,
-    deadline_bin_label,
-    error_bin_label,
-)
-from repro.workload.distributions import (
-    BoundedParetoDistribution,
-    ConstantDistribution,
-    Distribution,
-    EmpiricalDistribution,
-    ExponentialDistribution,
-    LogNormalDistribution,
-    ParetoDistribution,
-    UniformDistribution,
-)
-from repro.workload.profiles import (
-    FrameworkProfile,
-    WorkloadProfile,
-    framework_profile,
-    workload_profile,
-)
-from repro.workload.ingest import (
-    INGEST_FORMATS,
-    IngestStats,
-    ingest_trace,
-    iter_ingested_trace,
-)
-from repro.workload.synthetic import SyntheticWorkloadGenerator, WorkloadConfig
-from repro.workload.trace_replay import (
-    ClusterSpecSource,
-    ClusterTierConfig,
-    TraceReplayConfig,
-    TraceWorkload,
-    cluster_trace_job,
-    export_trace,
-    iter_cluster_trace,
-    slice_trace,
-    synthesize_trace,
-    trace_to_workload,
-)
-from repro.workload.traces import (
-    TraceFormatError,
-    TraceJob,
-    TraceSummary,
-    load_trace,
-    save_trace,
-    scan_jobs,
-    scan_trace,
-    summarize_trace,
-    trace_from_specs,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.workload.bins": (
+            "DEADLINE_BINS",
+            "ERROR_BINS",
+            "JOB_SIZE_BINS",
+            "deadline_bin_label",
+            "error_bin_label",
+        ),
+        "repro.workload.distributions": (
+            "BoundedParetoDistribution",
+            "ConstantDistribution",
+            "Distribution",
+            "EmpiricalDistribution",
+            "ExponentialDistribution",
+            "LogNormalDistribution",
+            "ParetoDistribution",
+            "UniformDistribution",
+        ),
+        "repro.workload.profiles": (
+            "FrameworkProfile",
+            "WorkloadProfile",
+            "framework_profile",
+            "workload_profile",
+        ),
+        "repro.workload.ingest": (
+            "INGEST_FORMATS",
+            "IngestStats",
+            "ingest_trace",
+            "iter_ingested_trace",
+        ),
+        "repro.workload.synthetic": ("SyntheticWorkloadGenerator", "WorkloadConfig"),
+        "repro.workload.trace_replay": (
+            "ClusterSpecSource",
+            "ClusterTierConfig",
+            "TraceReplayConfig",
+            "TraceWorkload",
+            "cluster_trace_job",
+            "export_trace",
+            "iter_cluster_trace",
+            "slice_trace",
+            "synthesize_trace",
+            "trace_to_workload",
+        ),
+        "repro.workload.traces": (
+            "TraceFormatError",
+            "TraceJob",
+            "TraceSummary",
+            "load_trace",
+            "save_trace",
+            "scan_jobs",
+            "scan_trace",
+            "summarize_trace",
+            "trace_from_specs",
+        ),
+    },
 )
 
 __all__ = [

@@ -89,6 +89,7 @@ _WORKLOADS: Dict[str, WorkloadProfile] = {
     ),
 }
 
+#: Mirrored by ``repro.experiments.plan.PLAN_FRAMEWORKS`` (test-locked).
 _FRAMEWORKS: Dict[str, FrameworkProfile] = {
     "hadoop": FrameworkProfile(
         name="hadoop",

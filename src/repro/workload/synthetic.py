@@ -21,7 +21,8 @@ from repro.workload.profiles import (
     workload_profile,
 )
 
-#: Supported bound mixes.
+#: Supported bound mixes (mirrored by ``repro.experiments.plan.PLAN_BOUND_KINDS``,
+#: test-locked).
 BOUND_DEADLINE = "deadline"
 BOUND_ERROR = "error"
 BOUND_EXACT = "exact"

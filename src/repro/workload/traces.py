@@ -266,3 +266,63 @@ def scan_trace(path: Union[str, Path]) -> TraceScan:
     for an empty trace.
     """
     return scan_jobs(iter_trace(path), source=str(path))
+
+
+@dataclass(frozen=True)
+class ClusterTierConfig:
+    """The ``scale=cluster`` synthetic tier: ~a million jobs, generated lazily.
+
+    The fixture traces in ``traces/`` are 40 jobs; the paper's own traces are
+    575K/500K (§Table 1).  This tier closes the *scale* gap: a seeded
+    generator (:func:`repro.workload.trace_replay.iter_cluster_trace`) that
+    yields :class:`TraceJob` records one at a time, byte-reproducible for a given config, so an
+    ``iter_trace``-shaped source can feed ``--stream-specs --sink aggregate``
+    replay at six orders of magnitude without any file or list ever holding
+    the trace.
+
+    Every job is generated **independently** from ``(seed, job index)``
+    (:func:`~repro.workload.trace_replay.cluster_trace_job` is random-access), which is what lets a shard
+    regenerate exactly its own window without generating its predecessors —
+    the same property the per-job bound RNG gives replay.
+
+    The size model is a log-normal over task counts, binned by the same
+    small/medium/large thresholds as the Facebook/Bing fixtures: with the
+    defaults the mix is roughly 94% small, 6% medium and a 0.1% large tail
+    (cluster traces are dominated by small jobs), keeping a million-job
+    replay's event count tolerable.  Durations get log-normal jitter around
+    ``median_task_duration`` plus an occasional straggler inflation so the
+    calibration pre-pass derives a meaningful straggler cap, exactly as it
+    would from a real trace.
+    """
+
+    num_jobs: int = 1_000_000
+    seed: int = 0
+    #: Mean seconds between consecutive arrivals.  Arrivals are strictly
+    #: increasing by construction: job ``i`` arrives at ``i * mean`` plus a
+    #: jitter drawn from ``[0, 0.9 * mean)``.
+    mean_interarrival: float = 5.0
+    #: Median of the log-normal task-count distribution.
+    median_tasks: float = 4.0
+    #: Sigma of the log-normal task-count distribution.
+    tasks_sigma: float = 1.6
+    max_tasks_per_job: int = 2000
+    #: Median observed task duration (seconds) before jitter/straggling.
+    median_task_duration: float = 12.0
+    duration_sigma: float = 0.35
+    #: Fraction of tasks inflated by a straggler multiplier in [2, 8).
+    straggler_fraction: float = 0.05
+
+    def __post_init__(self) -> None:
+        if self.num_jobs < 1:
+            raise ValueError("num_jobs must be at least 1")
+        if self.mean_interarrival <= 0:
+            raise ValueError("mean_interarrival must be positive")
+        if self.median_tasks < 1 or self.max_tasks_per_job < 1:
+            raise ValueError("task-count knobs must be at least 1")
+        if self.tasks_sigma < 0 or self.duration_sigma < 0:
+            raise ValueError("sigmas must be non-negative")
+        if not 0.0 <= self.straggler_fraction <= 1.0:
+            raise ValueError("straggler_fraction must lie in [0, 1]")
+
+    def __str__(self) -> str:
+        return f"cluster:{self.num_jobs} (seed {self.seed})"

@@ -13,7 +13,12 @@ Four layers, tested bottom-up:
   trace files and generated cluster tiers, and ``probe_plan_cache`` answers
   fully cached plans without simulating;
 * the ``grass-experiments cache`` verb — stats, verify (including a tampered
-  entry drawing a non-zero exit) and clear.
+  entry drawing a non-zero exit) and clear;
+* the engine fingerprint's coverage — a baseline edit or another
+  interpreter version changes it, and every module a slice simulation
+  loads is fingerprinted or allowlisted with a reason;
+* scan records — a warm replay reads the trace only to hash it, damaged
+  records are warned rescans, malformed traces never get one.
 """
 
 from __future__ import annotations
@@ -29,19 +34,23 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.experiments import cache as cache_module
+from repro.experiments import runner
 from repro.experiments.cache import (
     ENGINE_PACKAGES,
+    SCAN_DIR,
     CacheIntegrityWarning,
     CachedSlice,
     ReplayCache,
     engine_fingerprint,
+    engine_source_files,
 )
 from repro.experiments.cli import main as cli_main
 from repro.experiments.plan import ReplayPlan
 from repro.experiments.runner import execute, probe_plan_cache
 from repro.simulator.sinks import AggregateSink
 from repro.workload.trace_replay import synthesize_trace
-from repro.workload.traces import save_trace
+from repro.workload.traces import TraceFormatError, save_trace
 
 POLICIES = ("no-spec", "grass")
 SHARDS = 2
@@ -239,6 +248,27 @@ class TestInvalidation:
         assert engine_fingerprint(root=pristine_a) == engine_fingerprint(root=pristine_b)
         assert engine_fingerprint(root=edited) != engine_fingerprint(root=pristine_a)
 
+    def test_editing_a_baseline_changes_the_engine_fingerprint(self, tmp_path):
+        # A cached LATE slice must not survive an edit to LATE itself.
+        base = Path(repro.__file__).resolve().parent
+        ignore = shutil.ignore_patterns("__pycache__")
+        pristine = tmp_path / "pristine"
+        edited = tmp_path / "edited"
+        shutil.copytree(base, pristine, ignore=ignore)
+        shutil.copytree(base, edited, ignore=ignore)
+        target = edited / "baselines" / "late.py"
+        target.write_text(target.read_text() + "\n# one edited line\n")
+        assert engine_fingerprint(root=edited) != engine_fingerprint(root=pristine)
+
+    def test_interpreter_version_is_part_of_the_engine_fingerprint(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cache_module, "_ENGINE_FINGERPRINTS", {})
+        current = engine_fingerprint()
+        monkeypatch.setattr(cache_module, "_ENGINE_FINGERPRINTS", {})
+        monkeypatch.setattr(sys, "version_info", (3, 99, 0, "final", 0))
+        assert engine_fingerprint() != current
+
     def test_entries_from_another_engine_are_silent_misses(self, tmp_path):
         slice_wire = {"policy": "grass", "sim_seed": 1, "shard": 0}
         old = ReplayCache(tmp_path, engine="engine-A")
@@ -300,6 +330,117 @@ class TestInvalidation:
             handle.write("\n")
         rerun = execute(make_plan(edited, cache_dir))
         assert rerun.cache_stats.hits == 0
+
+
+#: Modules a slice simulation loads that the engine fingerprint deliberately
+#: leaves out, by path relative to the ``repro`` package, each with the
+#: reason it cannot change a cached slice.
+FINGERPRINT_ALLOWLIST = {
+    "__init__.py": "lazy re-exports only",
+    "_lazy.py": "the lazy re-export helper",
+    "experiments/__init__.py": "lazy re-exports only",
+    "experiments/cache.py": "the store itself; its layout is versioned by "
+    "CACHE_FORMAT_VERSION",
+    "experiments/plan.py": "plan fields reach a slice only through its cache key",
+    "experiments/runner.py": "resolves the plan into the slice key and folds "
+    "slices; never changes a slice's chunk",
+}
+
+_SIMULATE_EVERY_POLICY = """
+import json, sys
+from repro.experiments.plan import PLAN_POLICIES, ReplayPlan
+from repro.experiments.runner import execute
+
+for fields in (
+    {"trace": sys.argv[1]},
+    {"cluster_jobs": 6, "stream_specs": True, "sink": "aggregate"},
+):
+    execute(ReplayPlan(policies=PLAN_POLICIES, scale="quick", **fields))
+print(json.dumps(sorted(
+    module.__file__ for name, module in sys.modules.items()
+    if name.split(".")[0] == "repro" and getattr(module, "__file__", None)
+)))
+"""
+
+
+class TestFingerprintClosure:
+    def test_every_module_a_slice_loads_is_fingerprinted(self, trace_path):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _SIMULATE_EVERY_POLICY, str(trace_path)],
+            env=env, capture_output=True, text=True, timeout=300, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        base = Path(repro.__file__).resolve().parent
+        loaded = {
+            Path(path).resolve().relative_to(base).as_posix()
+            for path in json.loads(proc.stdout.strip().splitlines()[-1])
+        }
+        fingerprinted = {
+            path.relative_to(base).as_posix() for path in engine_source_files(base)
+        }
+        assert "baselines/late.py" in loaded & fingerprinted
+        assert loaded - fingerprinted - set(FINGERPRINT_ALLOWLIST) == set()
+
+
+class TestScanRecords:
+    def test_warm_replay_reads_the_trace_only_to_hash_it(
+        self, cold, trace_path, monkeypatch
+    ):
+        def no_scan(path):
+            raise AssertionError(f"scanned {path}")
+
+        monkeypatch.setattr(runner, "scan_trace", no_scan)
+        warm = execute(make_plan(trace_path, cold["cache_dir"]))
+        assert warm.digest == cold["digest"]
+        assert warm.cache_stats.misses == 0
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated", "wrong-version", "bad-field"])
+    def test_damaged_records_are_warned_rescans(
+        self, trace_path, tmp_path, damage
+    ):
+        cache_dir = tmp_path / "cache"
+        cold_executed = execute(make_plan(trace_path, cache_dir))
+        (record,) = sorted((cache_dir / SCAN_DIR).glob("*.json"))
+        original = record.read_bytes()
+        if damage == "garbage":
+            record.write_text("not json at all")
+        elif damage == "truncated":
+            record.write_bytes(original[:25])
+        else:
+            payload = json.loads(original)
+            if damage == "wrong-version":
+                payload["version"] = 99
+            else:
+                payload["scan"]["num_jobs"] = "many"
+            record.write_text(json.dumps(payload))
+        with pytest.warns(CacheIntegrityWarning):
+            warm = execute(make_plan(trace_path, cache_dir))
+        assert warm.digest == cold_executed.digest
+        assert warm.cache_stats.misses == 0
+        assert record.read_bytes() == original, "the rescan rewrites the record"
+
+    def test_malformed_trace_never_gets_a_record(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            '{"job_id": 1, "arrival_time": 0.0, "task_durations": [1.0]}\n'
+            "not json\n"
+        )
+        cache_dir = tmp_path / "cache"
+        for _ in range(2):
+            with pytest.raises(TraceFormatError):
+                execute(make_plan(bad, cache_dir))
+            assert not list(cache_dir.glob(f"{SCAN_DIR}/*"))
+
+    def test_cache_clear_removes_scan_records(self, trace_path, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        execute(make_plan(trace_path, cache_dir))
+        assert cli_main(["cache", "stats", "--cache", str(cache_dir)]) == 0
+        assert "scan records         1" in capsys.readouterr().out
+        assert cli_main(["cache", "clear", "--cache", str(cache_dir)]) == 0
+        assert not list((cache_dir / SCAN_DIR).iterdir())
 
 
 class TestCacheVerb:
