@@ -23,10 +23,10 @@
 #                 history accumulates instead of keeping only the latest
 #                 snapshot
 # * replay-determinism — replays traces/facebook_like.jsonl at quick scale
-#                 eight ways (batch / --stream / --stream-specs x --workers
-#                 1/4, plus --sink aggregate legs holding zero JobResults)
-#                 and fails unless all eight printed sha256 metrics digests
-#                 agree
+#                 under grass, late and the oracle eight ways (batch /
+#                 --stream / --stream-specs x --workers 1/4, plus --sink
+#                 aggregate legs holding zero JobResults) and fails unless
+#                 all eight printed sha256 metrics digests agree
 # * ingest-smoke — converts the bundled 20-row Google and Alibaba trace
 #                 samples with `grass-experiments ingest`, replays each
 #                 converted trace at --workers 1 and 4, and fails unless the
@@ -37,17 +37,18 @@
 #                 plans plus a SERVICE_BURST (default 24) overload burst,
 #                 and fails unless every streamed digest matches the offline
 #                 execute(plan) and the burst drew explicit 429 rejections
-# * cache-smoke — replays traces/facebook_like.jsonl twice against a fresh
-#                 content-addressed replay cache (cold then warm), fails
-#                 unless the digests agree and the warm run reports zero
-#                 misses, re-runs the warm replay under `python -X
-#                 importtime` (prints the ten largest cumulative imports and
-#                 fails if the cache-hit path imported the engine, a policy,
-#                 the executor, the figures, workload generation, ingest,
-#                 asyncio or multiprocessing), then corrupts a stored entry
-#                 and requires the rerun to survive it (reported miss,
-#                 digest unchanged) and `grass-experiments cache
-#                 stats|verify` to succeed
+# * cache-smoke — replays traces/facebook_like.jsonl under every registered
+#                 policy twice against a fresh content-addressed replay
+#                 cache (cold then warm), fails unless the digests agree and
+#                 the warm run reports zero misses, re-runs the warm replay
+#                 under `python -X importtime` (prints the ten largest
+#                 cumulative imports and fails if the cache-hit path
+#                 imported the engine, a policy, the executor, the figures,
+#                 workload generation, ingest, asyncio or multiprocessing),
+#                 then corrupts a stored entry and requires the rerun to
+#                 survive it (reported miss, digest unchanged) and
+#                 `grass-experiments cache stats|verify` to succeed, with
+#                 verify re-simulating every stored entry (so every policy)
 # * cluster-replay — replays the generated cluster tier (CLUSTER_JOBS jobs,
 #                 default 20000) fully streaming at --workers 1 and 4, fails
 #                 unless the digests agree and peak resident jobs stay under
@@ -108,7 +109,8 @@ run_replay_determinism() {
         echo "replay-determinism: replay $variant"
         # shellcheck disable=SC2086
         digest="$(python -m repro.experiments.cli replay \
-            --trace "$trace" --scale quick --shards 2 --seed 0 $variant \
+            --trace "$trace" --scale quick --shards 2 --seed 0 \
+            --policy grass --policy late --policy oracle $variant \
             | sed -n 's/^metrics digest: sha256=//p')"
         if [ -z "$digest" ]; then
             echo "replay-determinism: no digest printed for '$variant'" >&2
@@ -201,13 +203,17 @@ run_service_smoke() {
 run_cache_smoke() {
     local trace="traces/facebook_like.jsonl"
     local tmpdir cachedir entry
-    local cold_digest warm_digest warm_misses post_digest post_misses
+    local cold_digest warm_digest warm_misses post_digest post_misses verify_out
+    local policy_args=() policy entries
+    for policy in $(python -c 'from repro.experiments.policies import available_policies; print(*available_policies())'); do
+        policy_args+=(--policy "$policy")
+    done
     tmpdir="$(mktemp -d)"
     cachedir="$tmpdir/cache"
     replay_cached() {
         python -m repro.experiments.cli replay \
             --trace "$trace" --scale quick --shards 2 --seed 0 \
-            --cache "$cachedir"
+            "${policy_args[@]}" --cache "$cachedir"
     }
     digest_of() { sed -n 's/^metrics digest: sha256=//p'; }
     misses_of() { sed -n 's/^replay cache: [0-9]* hits, \([0-9]*\) misses.*/\1/p'; }
@@ -242,7 +248,7 @@ run_cache_smoke() {
     import_log="$tmpdir/importtime.txt"
     python -X importtime -m repro.experiments.cli replay \
         --trace "$trace" --scale quick --shards 2 --seed 0 \
-        --cache "$cachedir" > /dev/null 2> "$import_log" \
+        "${policy_args[@]}" --cache "$cachedir" > /dev/null 2> "$import_log" \
         || { cat "$import_log" >&2; rm -rf "$tmpdir"; return 1; }
     echo "  ten largest cumulative imports (microseconds):"
     grep '^import time:' "$import_log" | sort -t'|' -k2 -n -r | sed -n '1,10p' \
@@ -280,8 +286,18 @@ run_cache_smoke() {
 
     python -m repro.experiments.cli cache stats --cache "$cachedir" \
         || { rm -rf "$tmpdir"; return 1; }
-    python -m repro.experiments.cli cache verify --cache "$cachedir" --sample 2 \
-        || { rm -rf "$tmpdir"; return 1; }
+    # Verify every entry, so each registered policy's slices are
+    # re-simulated and compared.
+    entries="$(find "$cachedir" -path "$cachedir/??/*.json" | wc -l)"
+    verify_out="$(python -m repro.experiments.cli cache verify --cache "$cachedir" \
+        --sample "$entries")" || { printf '%s\n' "$verify_out"; rm -rf "$tmpdir"; return 1; }
+    printf '%s\n' "$verify_out" | tail -1
+    if ! printf '%s\n' "$verify_out" | grep -q "^verified $entries/$entries sampled"; then
+        echo "cache-smoke: FAILED — cache verify did not re-simulate all $entries entries" >&2
+        printf '%s\n' "$verify_out" >&2
+        rm -rf "$tmpdir"
+        return 1
+    fi
     rm -rf "$tmpdir"
     echo "cache-smoke: ok (cold/warm digests agree; corruption is a reported miss)"
 }

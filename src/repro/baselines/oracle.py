@@ -5,10 +5,14 @@ durations and slot availabilities in advance".  Exact optimality is NP-hard
 (§2.2), and the paper's own optimal is a simulator-level bound; we provide an
 informed greedy oracle with the same spirit:
 
-* It is run with ``SimulationConfig.oracle_estimates = True`` so every
-  ``trem`` / ``tnew`` it sees is the *true* value (the straggler model derives
-  copy durations deterministically, so the duration a not-yet-launched copy
-  would have is knowable).
+* It is run with ``SimulationConfig.oracle_estimates = True``, so the engine
+  serves its views from an
+  :class:`~repro.core.policies.base.OracleSchedulingIndex` and every
+  ``trem`` / ``tnew`` it sees is the *true* value.  The straggler model
+  derives copy durations deterministically, so the duration a
+  not-yet-launched copy would have (on a median-speed machine) is knowable;
+  the index computes it once per task copy index and never touches the
+  job's estimator.  The GS/RAS fast selection paths apply unchanged.
 * With perfect information the RAS-vs-GS trade-off collapses to the wave
   guideline of §3.2, which the oracle applies exactly: resource-aware
   speculation while more than ``switch_waves`` waves of required work remain,

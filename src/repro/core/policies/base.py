@@ -5,7 +5,7 @@ free slot.  The policy only sees a :class:`SchedulingView`: estimated
 ``trem`` / ``tnew`` per unfinished task of the current phase, the remaining
 approximation bound, the job's wave width, cluster utilisation and the
 realised estimator accuracy.  It never sees true durations — only the oracle
-baseline is given those, via a separate view builder.
+baseline is given those, through :class:`OracleSchedulingIndex`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import abc
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.bounds import ApproximationBound
 from repro.core.estimators import TaskEstimator
@@ -131,6 +131,10 @@ class SchedulingIndex:
       poisons the cache: values drawn before the eviction can no longer be
       reproduced, so the next ``prepare`` falls back to a re-estimate, and
       a mid-replay eviction forces the rest of that walk to re-estimate.
+
+    Oracle-estimate runs use :class:`OracleSchedulingIndex` instead, which
+    keeps the same selection structures over *true* durations and never
+    touches the estimator.
     """
 
     __slots__ = (
@@ -403,14 +407,126 @@ class SchedulingIndex:
         return [snaps[task.task_id] for task in self.job.schedulable_tasks(self.now)]
 
 
+class OracleSchedulingIndex(SchedulingIndex):
+    """:class:`SchedulingIndex` over true durations, for oracle-estimate runs.
+
+    The oracle sees ``tnew`` as the exact duration the task's *next* copy
+    would have on a median-speed machine and ``trem`` as the true remaining
+    time of its best running copy.  Contract:
+
+    * **No estimator side effects.** The index holds no estimator: no noise
+      draws, no ``trem``/``tnew`` tracker records, no replay folds.  Its
+      ``epoch`` stays -1, so the engine's stateless-choice shortcut (which
+      must replay estimator folds) never applies and a ``None`` decision is
+      simply asked again.
+    * **One multiplier call per task copy index.** ``copy_duration`` reseeds
+      the straggler model's scratch generator before every draw, so a
+      copy's duration is a pure function of its copy index.  ``tnew`` is
+      therefore computed once per (task, copy index) — for every task at a
+      phase rebuild and for a task's next copy when one launches — stored
+      on the snapshot, and used verbatim as the ``pending_sorted`` key, so
+      the launch/finish hooks bisect with the stored value.
+    * **Exact ``trem``.** Running tasks' ``trem`` is ``task.true_remaining(
+      now)`` with :class:`TaskSnapshot`'s ``<= 0 -> 1e-6`` clamp, recomputed
+      for every running task when the clock moves and for a task when it
+      launches a copy (launches follow ``prepare`` at the same instant).
+    """
+
+    __slots__ = ("copy_duration", "speed")
+
+    def __init__(
+        self,
+        job: Job,
+        copy_duration: Callable[[float, float, int, int, int], float],
+        speed: float,
+    ) -> None:
+        super().__init__(job, None)
+        # ``StragglerModel.copy_duration`` and the machine speed the oracle
+        # assumes (it cannot know where the copy lands: the cluster median).
+        self.copy_duration = copy_duration
+        self.speed = speed
+
+    def _exact_tnew(self, task: Task) -> float:
+        spec = task.spec
+        return self.copy_duration(
+            spec.work, self.speed, spec.job_id, spec.task_id, len(task.copies)
+        )
+
+    def prepare(self, now: float) -> bool:
+        job = self.job
+        phase = job.current_phase()
+        if phase >= job.spec.dag_length:
+            return False
+        if phase != self.phase:
+            self._rebuild(now, phase)
+        elif now != self.now:
+            snaps = self.snaps
+            for task_id in self.running_ids:
+                snap = snaps[task_id]
+                trem = snap.task.true_remaining(now)
+                snap.trem = trem if trem > 0 else 1e-6
+            self.now = now
+        return True
+
+    def _rebuild(self, now: float, phase: int) -> None:
+        snaps: Dict[int, TaskSnapshot] = {}
+        pending: List[Tuple[float, int, float]] = []
+        running_ids: List[int] = []
+        for task in self.job.schedulable_tasks(now):
+            task_id = task.task_id
+            tnew = self._exact_tnew(task)
+            if task.is_running:
+                snap = TaskSnapshot(
+                    task, True, task.running_copy_count, task.true_remaining(now), tnew
+                )
+                running_ids.append(task_id)
+            else:
+                snap = TaskSnapshot(task, False, 0, tnew, tnew)
+                pending.append((tnew, task_id, task.spec.work))
+            snaps[task_id] = snap
+        pending.sort()
+        self.phase = phase
+        self.now = now
+        self.snaps = snaps
+        self.pending_sorted = pending
+        self.running_ids = running_ids
+
+    def on_copy_launched(self, task: Task) -> None:
+        task_id = task.task_id
+        snap = self.snaps.get(task_id)
+        if snap is None:
+            return
+        if not snap.running:
+            pending = self.pending_sorted
+            del pending[bisect_left(pending, (snap.tnew, task_id))]
+            insort(self.running_ids, task_id)
+            snap.running = True
+        snap.copies = task.running_copy_count
+        snap.tnew = self._exact_tnew(task)
+        trem = task.true_remaining(self.now)
+        snap.trem = trem if trem > 0 else 1e-6
+
+    def on_task_finished(self, task: Task) -> None:
+        # Only running tasks finish, and every running task of the indexed
+        # phase is in ``running_ids``; unknown ids are earlier-phase copies.
+        task_id = task.task_id
+        if self.snaps.pop(task_id, None) is None:
+            return
+        ids = self.running_ids
+        del ids[bisect_left(ids, task_id)]
+
+
 class SchedulingView:
     """Everything a policy may look at when choosing the next task to launch.
 
     ``tasks`` is materialised lazily when the view was built from a
     :class:`SchedulingIndex` (``sched``): GS/RAS/GRASS pick straight from
     the index's flat structures and never touch the snapshot list, while
-    baseline policies and the switch deciders still see the exact list the
-    eager builder produced.
+    baseline policies and the switch deciders still see the exact list an
+    eager walk would produce.  The engine always sets ``sched`` (an
+    :class:`OracleSchedulingIndex` for oracle runs); a view built from an
+    explicit ``tasks`` list without one sends GS/RAS to their generic
+    list-based choosers, the reference their fast paths are tested against.
     """
 
     __slots__ = (

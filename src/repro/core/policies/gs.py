@@ -85,7 +85,8 @@ class GreedySpeculative(SpeculationPolicy):
     # pre-sorted by ``(tnew, task_id)`` in the index, so the pending minimum
     # (or the error window's pending maximum) is a list head (or a bisect),
     # and only the running tasks — bounded by the job's allocation — are
-    # scanned.  Tie-breaking keys are identical to the legacy stages.
+    # scanned.  Tie-breaking keys are identical to the list-based stages,
+    # which serve index-less views and are the fast paths' test reference.
 
     def _fast_deadline(
         self, view: SchedulingView, sched: SchedulingIndex

@@ -82,7 +82,8 @@ class ResourceAwareSpeculative(SpeculationPolicy):
 
     # -- index-backed selection ---------------------------------------------------
     #
-    # Same minima as the list-based stages, served from the index: the
+    # Same minima as the list-based stages (which serve index-less views and
+    # are the fast paths' test reference), served from the index: the
     # savings scan touches only running tasks (bounded by the allocation)
     # and the pending default is the sorted list's head (deadline) or the
     # error window's bisected tail.

@@ -49,6 +49,9 @@ enforce this):
   against estimator feedback instead of rebuilt per scheduling round;
   re-estimates refresh the sorted list lazily and defer snapshot writes
   until a policy actually materialises the view;
+* oracle-estimate runs use the same index over true durations
+  (:class:`OracleSchedulingIndex`): a task copy's exact duration is drawn
+  once per copy index instead of once per task per scheduling view;
 * policies whose choice is a pure function of the index state declare
   ``stateless_choose``, letting the engine skip the re-ask after a ``None``
   decision when nothing it reads has changed (the mandated estimator folds
@@ -65,7 +68,9 @@ original 10x target proved out of reach in pure CPython once every remaining
 cost — Mersenne-Twister reseeds, estimator folds, per-epoch re-sorts — was
 shown to be mandated by digest equivalence).  ``BENCH_engine.json`` tracks
 the numbers and ``scripts/check.sh bench-gate`` holds both quick- and
-default-scale throughput to a 30% regression budget.
+default-scale throughput to a 30% regression budget.  The oracle index
+took one ``figure8 --scale quick --workers 2`` process (perfbench
+``figure-warmup``, 2-core VM) from a median 1.00 s to 0.61 s.
 
 Memory
 ------
@@ -94,15 +99,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.core.estimators import EstimatorConfig, TaskEstimator
 from repro.core.job import Job, JobSpec, JobState
 from repro.core.policies.base import (
+    OracleSchedulingIndex,
     SchedulingIndex,
     SchedulingView,
     SpeculationPolicy,
-    TaskSnapshot,
 )
 from repro.core.task import Task, TaskCopy
 from repro.simulator.cluster import Cluster, ClusterConfig
@@ -181,10 +186,20 @@ class Simulation:
         self._spec_by_id: Dict[int, JobSpec] = {}
         self._jobs: Dict[int, Job] = {}
         self._estimators: Dict[int, TaskEstimator] = {}
-        # Per-job incremental scheduling indexes (estimator mode only): live
-        # snapshots plus sorted selection structures, kept consistent with
-        # the estimators' noise caches — see ``SchedulingIndex``.
+        # Per-job incremental scheduling indexes: live snapshots plus sorted
+        # selection structures, kept consistent with the estimators' noise
+        # caches — see ``SchedulingIndex``.  Oracle-estimate runs index true
+        # durations instead (``OracleSchedulingIndex``); the cached values
+        # live on the per-job index, so they are evicted with the job.
         self._sched_index: Dict[int, SchedulingIndex] = {}
+        if config.oracle_estimates:
+            copy_duration = self.stragglers.copy_duration
+            speed = self.cluster.median_speed
+            self._new_index = lambda job, _estimator: OracleSchedulingIndex(
+                job, copy_duration, speed
+            )
+        else:
+            self._new_index = SchedulingIndex
         # Insertion-ordered job-id set (dict keys): O(1) removal on job
         # finish with the same deterministic iteration order the old list
         # gave the fair-share and dispatch loops.
@@ -204,12 +219,8 @@ class Simulation:
         self._alloc_dirty = True
         # Stateless-choice policies (GS/RAS) let the dispatch loop cache a
         # None decision per index state instead of re-asking; see
-        # ``SpeculationPolicy.stateless_choose``.  Oracle runs bypass the
-        # scheduling index entirely, so the cache never applies there.
-        self._stateless_choice = (
-            bool(getattr(policy, "stateless_choose", False))
-            and not config.oracle_estimates
-        )
+        # ``SpeculationPolicy.stateless_choose``.
+        self._stateless_choice = bool(getattr(policy, "stateless_choose", False))
         self.events_processed = 0
 
     # ------------------------------------------------------------------ lifecycle
@@ -540,13 +551,11 @@ class Simulation:
         return min(1.0, (self.cluster.busy_slots + self._reserved_slots) / total)
 
     def _build_view(self, job: Job) -> Optional[SchedulingView]:
-        if self.config.oracle_estimates:
-            return self._build_view_oracle(job)
         job_id = job.spec.job_id
         estimator = self._estimators[job_id]
         index = self._sched_index.get(job_id)
         if index is None:
-            index = SchedulingIndex(job, estimator)
+            index = self._new_index(job, estimator)
             self._sched_index[job_id] = index
         # ``prepare`` performs (or replays) the per-task estimation walk the
         # eager builder used to do, including its accuracy-tracker feedback,
@@ -606,69 +615,6 @@ class Simulation:
             view.phase_index = phase_index
             view.is_input_phase = is_input
         return view
-
-    def _build_view_oracle(self, job: Job) -> Optional[SchedulingView]:
-        """Eager view builder for oracle-estimate runs (no scheduling index)."""
-        estimator = self._estimators[job.job_id]
-        tasks = job.schedulable_tasks(self._now)
-        if not tasks:
-            return None
-        phase_index = tasks[0].phase_index
-        snapshots: List[TaskSnapshot] = []
-        for task in tasks:
-            snapshot = self._snapshot_task(job, task, estimator)
-            snapshots.append(snapshot)
-        is_input = phase_index == 0
-        remaining_deadline = job.remaining_deadline(self._now) if is_input else None
-        if is_input:
-            remaining_required = job.remaining_required_tasks()
-        else:
-            remaining_required = sum(1 for task in tasks if not task.is_finished)
-        return SchedulingView(
-            now=self._now,
-            job=job,
-            tasks=snapshots,
-            bound=job.bound,
-            remaining_deadline=remaining_deadline,
-            remaining_required_tasks=remaining_required,
-            wave_width=max(1, job.allocation),
-            cluster_utilization=self._effective_utilization(),
-            estimator_accuracy=estimator.combined_accuracy,
-            phase_index=phase_index,
-            is_input_phase=is_input,
-        )
-
-    def _snapshot_task(
-        self, job: Job, task: Task, estimator: TaskEstimator
-    ) -> TaskSnapshot:
-        running = task.is_running
-        if self.config.oracle_estimates:
-            tnew = self._oracle_tnew(job, task)
-            trem = task.true_remaining(self._now) if running else tnew
-        else:
-            tnew = estimator.tnew(task)
-            trem = estimator.trem(task, self._now) if running else tnew
-            if running:
-                # Feed realised accuracy back into the tracker (§5.1): compare
-                # the estimate against the true remaining time of the best copy.
-                estimator.record_trem_outcome(trem, max(1e-6, task.true_remaining(self._now)))
-        return TaskSnapshot(
-            task=task,
-            running=running,
-            copies=task.running_copy_count,
-            trem=trem,
-            tnew=tnew,
-        )
-
-    def _oracle_tnew(self, job: Job, task: Task) -> float:
-        """True duration the *next* copy of ``task`` would have (oracle mode)."""
-        copy_index = task.total_copies_launched
-        # The oracle cannot know which machine the copy will land on, so it
-        # uses the median machine speed — cached at Cluster construction; the
-        # straggler multiplier (the part that matters) is exact.
-        return self.stragglers.copy_duration(
-            task.work, self.cluster.median_speed, job.job_id, task.task_id, copy_index
-        )
 
     # ------------------------------------------------------------------ copy management
 
