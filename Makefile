@@ -35,8 +35,8 @@ cache-smoke:
 	./scripts/check.sh cache-smoke
 
 # The large-scale leg: CLUSTER_JOBS (default 20000) generated jobs replayed
-# fully streaming at workers 1 and 4; the scheduled CI job runs this at
-# CLUSTER_JOBS=100000.
+# with the aggregate sink at workers 1 and 4 (peak resident jobs must stay
+# under 1% of the tier); the scheduled CI job runs this at CLUSTER_JOBS=100000.
 cluster-replay:
 	./scripts/check.sh cluster-replay
 

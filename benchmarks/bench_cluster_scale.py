@@ -1,10 +1,9 @@
-"""Macro-benchmark: the generated ``cluster`` tier under full streaming.
+"""Macro-benchmark: the generated ``cluster`` tier, replayed end to end.
 
 Replays a :class:`~repro.workload.trace_replay.ClusterTierConfig` slice —
 the lazily generated stand-in for a real cluster trace, a million jobs at
-full size — through ``replay_stream(stream_specs=True)`` with the aggregate
-sink: the fully streaming configuration where no process ever materialises
-the trace, a shard spec list, or a per-job result row.
+full size — through ``replay_source`` with the aggregate sink: no process
+ever materialises the trace, a shard spec list, or a per-job result row.
 
 Records under the ``cluster-scale`` kind in ``BENCH_engine.json``:
 events/second (summed engine events over wall-clock), wall time, peak
@@ -26,7 +25,7 @@ import time
 import pytest
 
 from benchmarks.conftest import bench_scale, bench_scale_name, record_benchmark
-from repro.experiments.runner import replay_stream
+from repro.experiments.runner import replay_source
 from repro.simulator.sinks import parse_sink_spec
 from repro.workload.trace_replay import ClusterTierConfig, TraceReplayConfig
 
@@ -60,24 +59,22 @@ def test_cluster_tier_replay(benchmark):
     replay_config = TraceReplayConfig(seed=0)
     shards = max(1, min(8, num_jobs // 100))
 
-    def run_stream():
-        return replay_stream(
+    def run_replay():
+        return replay_source(
             ["gs"], tier, replay_config=replay_config, scale=scale,
-            shards=shards, workers=scale.workers, stream_specs=True,
+            shards=shards, workers=scale.workers,
             sink=parse_sink_spec("aggregate"),
         )
 
     started = time.perf_counter()
-    streamed = benchmark.pedantic(run_stream, rounds=1, iterations=1)
+    comparison = benchmark.pedantic(run_replay, rounds=1, iterations=1)
     wall_seconds = time.perf_counter() - started
 
-    events = sum(
-        metrics.events_processed
-        for run in streamed.comparison.runs.values()
-        for metrics in run.metrics
-    )
+    metrics_list = [m for run in comparison.runs.values() for m in run.metrics]
+    events = sum(metrics.events_processed for metrics in metrics_list)
     events_per_second = events / wall_seconds if wall_seconds > 0 else 0.0
-    residency_ratio = streamed.peak_resident_jobs / num_jobs
+    peak_resident_jobs = max(metrics.peak_resident_jobs for metrics in metrics_list)
+    residency_ratio = peak_resident_jobs / num_jobs
     record_benchmark(
         "cluster-scale",
         "gs",
@@ -85,7 +82,7 @@ def test_cluster_tier_replay(benchmark):
         events=events,
         wall_time_seconds=round(wall_seconds, 3),
         events_per_second=round(events_per_second, 1),
-        peak_resident_jobs=streamed.peak_resident_jobs,
+        peak_resident_jobs=peak_resident_jobs,
         residency_ratio=round(residency_ratio, 5),
         scale=bench_scale_name(),
         workers=scale.workers,
@@ -93,15 +90,15 @@ def test_cluster_tier_replay(benchmark):
     print(
         f"\ncluster-scale/gs: {num_jobs} jobs, {events} events in "
         f"{wall_seconds:.2f}s -> {events_per_second:,.0f} events/s, "
-        f"peak resident jobs {streamed.peak_resident_jobs} "
+        f"peak resident jobs {peak_resident_jobs} "
         f"({residency_ratio:.2%})"
     )
     assert events > 0
-    assert streamed.num_jobs == num_jobs
-    assert streamed.peak_resident_jobs >= 1
+    assert comparison.workload.config.num_jobs == num_jobs
+    assert peak_resident_jobs >= 1
     # The bound the tier exists to demonstrate: resident jobs track
     # concurrency, not trace length.
     assert residency_ratio < _RESIDENCY_BOUND, (
-        f"peak resident jobs {streamed.peak_resident_jobs} is "
+        f"peak resident jobs {peak_resident_jobs} is "
         f"{residency_ratio:.1%} of the {num_jobs}-job tier"
     )

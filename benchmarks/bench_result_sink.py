@@ -1,8 +1,8 @@
 """Micro-benchmark: streaming result sinks vs retaining every JobResult.
 
-Runs the fully streaming replay (``--stream-specs``) twice over the same
-synthesized trace — once with the retaining sink (the default) and once with
-the aggregate sink — and records what the sink architecture exists to
+Runs the replay pipeline twice over the same synthesized trace — once with
+the retaining sink (the default) and once with the aggregate sink — and
+records what the sink architecture exists to
 deliver: with ``--sink aggregate`` the comparison holds **zero** resident
 ``JobResult`` objects and the digest still matches the retain path
 byte-for-byte, while the memory still traced once the pipeline has drained
@@ -11,7 +11,7 @@ per-job metadata) drops to a small fraction of the retaining run's.
 
 Peak traced memory is recorded for context but does not gate: the peak is
 dominated by transient engine state — concurrent jobs' tasks and copies —
-which ``--stream-specs`` already bounds to O(max concurrent) regardless of
+which lazy spec ingestion already bounds to O(max concurrent) regardless of
 the sink.  The *residency ratio* is the sink's own number.
 
 Both legs run with ``workers=1`` so every allocation happens in this
@@ -19,9 +19,9 @@ process, where ``tracemalloc`` can see it; the digest identity across worker
 counts is locked elsewhere (``tests/test_result_sinks.py`` and the
 ``replay-determinism`` CI job).
 
-Like ``bench_stream_specs``, the trace is longer than the figure-bench
-workloads (count scaled up, task sizes scaled down): the number under test
-is how memory scales with trace *length*.
+The trace is longer than the figure-bench workloads (count scaled up, task
+sizes scaled down): the number under test is how memory scales with trace
+*length*.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import tracemalloc
 
 from benchmarks.conftest import bench_scale, bench_scale_name, record_benchmark
 from repro.experiments.cli import metrics_digest
-from repro.experiments.runner import replay_stream
+from repro.experiments.runner import replay_source
 from repro.simulator.sinks import SinkFactory
 from repro.workload.trace_replay import TraceReplayConfig, synthesize_trace
 from repro.workload.traces import save_trace
@@ -59,10 +59,9 @@ def test_result_sink_residency(benchmark, tmp_path):
     def run(sink_kind: str):
         tracemalloc.start()
         started = time.perf_counter()
-        streamed = replay_stream(
+        comparison = replay_source(
             ["gs"], path, replay_config=replay_config, scale=scale,
-            shards=1, workers=1, stream_specs=True,
-            sink=SinkFactory(kind=sink_kind),
+            shards=1, workers=1, sink=SinkFactory(kind=sink_kind),
         )
         elapsed = time.perf_counter() - started
         # pytest-benchmark disables the cyclic GC while timing; collect
@@ -71,7 +70,7 @@ def test_result_sink_residency(benchmark, tmp_path):
         gc.collect()
         resident, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        return streamed, resident, peak, elapsed
+        return comparison, resident, peak, elapsed
 
     retained, retain_resident, retain_peak, retain_seconds = run("retain")
     folded_holder = []
@@ -83,15 +82,15 @@ def test_result_sink_residency(benchmark, tmp_path):
     benchmark.pedantic(run_aggregate, rounds=1, iterations=1)
     folded, aggregate_resident, aggregate_peak, aggregate_seconds = folded_holder[-1]
 
-    digests_match = metrics_digest(folded.comparison) == metrics_digest(
-        retained.comparison
+    digests_match = metrics_digest(folded) == metrics_digest(
+        retained
     )
     resident_retain = sum(
-        len(metrics.results) for metrics in retained.comparison.runs["gs"].metrics
+        len(metrics.results) for metrics in retained.runs["gs"].metrics
     )
     resident_aggregate = sum(
         len(metrics.sink.results or ())
-        for metrics in folded.comparison.runs["gs"].metrics
+        for metrics in folded.runs["gs"].metrics
     )
     residency_ratio = (
         aggregate_resident / retain_resident if retain_resident else float("inf")

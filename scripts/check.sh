@@ -8,9 +8,9 @@
 #                 time the floor was set); requires pytest-cov (CI installs
 #                 it; locally the subcommand fails fast if it is missing)
 # * bench-smoke — the engine hot-path and trace-replay micro-benchmarks plus
-#                 one cheap figure bench, the warm-up-cache and replay-cache
-#                 benches and the streaming-replay, spec-streaming and
-#                 result-sink benches at quick scale; refreshes
+#                 one cheap figure bench, the warm-up-cache, replay-cache,
+#                 result-sink, cluster-tier and service-load benches at
+#                 quick scale; refreshes
 #                 benchmarks/BENCH_engine.json and fails if the refresh
 #                 produced an unreadable file
 # * bench-gate  — takes the committed BENCH_engine.json (git show HEAD:...)
@@ -23,10 +23,10 @@
 #                 history accumulates instead of keeping only the latest
 #                 snapshot
 # * replay-determinism — replays traces/facebook_like.jsonl at quick scale
-#                 under grass, late and the oracle eight ways (batch /
-#                 --stream / --stream-specs x --workers 1/4, plus --sink
-#                 aggregate legs holding zero JobResults) and fails unless
-#                 all eight printed sha256 metrics digests agree
+#                 under grass, late and the oracle four ways (--workers 1/4
+#                 x --sink retain/aggregate, the aggregate legs holding zero
+#                 JobResults) and fails unless all four printed sha256
+#                 metrics digests agree
 # * ingest-smoke — converts the bundled 20-row Google and Alibaba trace
 #                 samples with `grass-experiments ingest`, replays each
 #                 converted trace at --workers 1 and 4, and fails unless the
@@ -50,7 +50,7 @@
 #                 `grass-experiments cache stats|verify` to succeed, with
 #                 verify re-simulating every stored entry (so every policy)
 # * cluster-replay — replays the generated cluster tier (CLUSTER_JOBS jobs,
-#                 default 20000) fully streaming at --workers 1 and 4, fails
+#                 default 20000) with --sink aggregate at --workers 1 and 4, fails
 #                 unless the digests agree and peak resident jobs stay under
 #                 RESIDENCY_MAX_PCT% (default 1) of the tier, and writes a
 #                 summary to CLUSTER_SUMMARY if set (the scheduled CI leg's
@@ -97,14 +97,10 @@ run_replay_determinism() {
     local digests=""
     local variant digest
     for variant in \
-        "--workers 1" \
-        "--workers 4" \
-        "--workers 1 --stream" \
-        "--workers 4 --stream" \
-        "--workers 1 --stream-specs" \
-        "--workers 4 --stream-specs" \
+        "--workers 1 --sink retain" \
+        "--workers 4 --sink retain" \
         "--workers 1 --sink aggregate" \
-        "--workers 4 --stream-specs --sink aggregate"
+        "--workers 4 --sink aggregate"
     do
         echo "replay-determinism: replay $variant"
         # shellcheck disable=SC2086
@@ -120,11 +116,11 @@ run_replay_determinism() {
         digests="$digests$digest"$'\n'
     done
     if [ "$(printf '%s' "$digests" | sort -u | wc -l)" -ne 1 ]; then
-        echo "replay-determinism: FAILED — digests differ across worker/stream/sink variants:" >&2
+        echo "replay-determinism: FAILED — digests differ across worker/sink variants:" >&2
         printf '%s' "$digests" >&2
         return 1
     fi
-    echo "replay-determinism: ok (all eight variants agree)"
+    echo "replay-determinism: ok (all four variants agree)"
 }
 
 run_ingest_smoke() {
@@ -146,7 +142,7 @@ run_ingest_smoke() {
             | sed -n 's/^metrics digest: sha256=//p')"
         digest4="$(python -m repro.experiments.cli replay \
             --trace "$converted" --scale quick --seed 0 --workers 4 \
-            --stream-specs --sink aggregate \
+            --sink aggregate \
             | sed -n 's/^metrics digest: sha256=//p')"
         if [ -z "$digest1" ] || [ "$digest1" != "$digest4" ]; then
             echo "ingest-smoke: FAILED — $format digests differ or missing" >&2
@@ -307,13 +303,13 @@ run_cluster_replay() {
     local max_pct="${RESIDENCY_MAX_PCT:-1}"
     local out1 out4 digest1 digest4 peak
     out1="$(mktemp)"; out4="$(mktemp)"
-    echo "cluster-replay: $jobs generated jobs, fully streaming"
+    echo "cluster-replay: $jobs generated jobs, aggregate sink"
     python -m repro.experiments.cli replay \
         --cluster-jobs "$jobs" --scale quick --seed 0 --shards 8 \
-        --workers 1 --stream-specs --sink aggregate | tee "$out1"
+        --workers 1 --sink aggregate | tee "$out1"
     python -m repro.experiments.cli replay \
         --cluster-jobs "$jobs" --scale quick --seed 0 --shards 8 \
-        --workers 4 --stream-specs --sink aggregate | tee "$out4"
+        --workers 4 --sink aggregate | tee "$out4"
     digest1="$(sed -n 's/^metrics digest: sha256=//p' "$out1")"
     digest4="$(sed -n 's/^metrics digest: sha256=//p' "$out4")"
     peak="$(sed -n 's/^peak resident jobs: \([0-9]*\).*/\1/p' "$out4")"
@@ -351,8 +347,6 @@ run_bench_smoke() {
         benchmarks/bench_trace_replay.py \
         benchmarks/bench_warmup_cache.py \
         benchmarks/bench_replay_cache.py \
-        benchmarks/bench_stream_replay.py \
-        benchmarks/bench_stream_specs.py \
         benchmarks/bench_result_sink.py \
         benchmarks/bench_cluster_scale.py \
         benchmarks/bench_service_load.py \

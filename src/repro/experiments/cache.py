@@ -16,9 +16,9 @@ An entry's key is the sha256 over the canonical JSON of:
 
 * the **plan slice**: every plan field that can change the slice's digest
   (policy, simulation seed, shard coordinates, cluster size, framework,
-  bound kind, bound-assignment seed) — and *none* that cannot (``workers``,
-  streaming mode, sink, ``max_resident_shards`` are wall-clock/memory knobs
-  whose digest-invariance the replay-determinism matrix locks);
+  bound kind, bound-assignment seed) — and *none* that cannot (``workers``
+  and the sink are wall-clock/memory knobs whose digest-invariance the
+  replay-determinism matrix locks);
 * the **source fingerprint**: sha256 of the trace file's bytes, or the
   canonical dict of a generated tier's config — edit one row of a trace and
   every key under it changes;

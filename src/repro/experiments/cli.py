@@ -6,8 +6,8 @@ Examples::
         --output google.jsonl --limit-jobs 1000
     grass-experiments ingest --format alibaba --input batch_task.csv \
         --output alibaba.jsonl --window 0 3600
-    grass-experiments replay --cluster-jobs 1000000 --stream-specs \
-        --sink aggregate --shards 8 --workers 0
+    grass-experiments replay --cluster-jobs 1000000 --sink aggregate \
+        --shards 8 --workers 0
 
     grass-experiments figure5
     grass-experiments figure7 --scale quick
@@ -15,10 +15,7 @@ Examples::
     grass-experiments figure5 --repeat 3
     grass-experiments replay --trace traces/facebook_like.jsonl --policy grass
     grass-experiments replay --trace t.jsonl --workers 4 --shards 8
-    grass-experiments replay --trace big.jsonl --shards 64 --stream \
-        --max-resident-shards 2 --workers 4
-    grass-experiments replay --trace huge.jsonl --stream-specs
-    grass-experiments replay --trace huge.jsonl --stream-specs --sink aggregate
+    grass-experiments replay --trace huge.jsonl --sink aggregate
     grass-experiments replay --trace big.jsonl --sink jsonl:out/rows
     grass-experiments replay --trace big.jsonl --cache ~/.grass-cache
     grass-experiments cache stats --cache ~/.grass-cache
@@ -36,22 +33,21 @@ merge is deterministic, so tables and digests are identical for any worker
 count.  ``--repeat K`` regenerates each figure K times and reports
 per-repeat wall times — useful for benchmarking the harness itself.
 
-``replay --stream`` runs the bounded-memory pipeline: the trace is parsed
-lazily and at most ``--max-resident-shards`` shard workloads exist at once,
-with shard k+1 parsing while shard k simulates.  ``replay --stream-specs``
-goes further: job specs stream lazily *inside* each simulation (the engine
-holds a one-spec lookahead and evicts finished jobs), so even an unsharded
-million-job replay runs with O(max concurrent jobs) resident state.  Both
-digests are identical to the batch path at the same ``--shards`` count —
-streaming is a memory knob, never a correctness knob.
+``replay`` never loads the trace: one scan counts its jobs, and each
+simulation streams its shard's job specs straight from the file (or the
+generated tier) into the engine, which holds a one-spec lookahead and evicts
+finished jobs — so even an unsharded million-job replay runs with O(max
+concurrent jobs) resident state, printed as ``peak resident jobs``.  The
+trace must be sorted by ``(arrival_time, job_id)`` (``ingest`` writes it
+that way); an unsorted one is a one-line error.
 
 ``--sink`` picks where per-job results go (``repro.simulator.sinks``):
 ``retain`` keeps every ``JobResult`` (the default), ``aggregate`` folds each
 result into constant-size mergeable aggregates the moment it is produced —
-combined with ``--stream-specs`` this makes resident memory fully
-independent of trace length — and ``jsonl:DIR`` spills one JSON row per
-result under ``DIR`` for offline analysis.  Like streaming, the sink is a
-memory knob only: table and digest are identical for every kind.
+which makes resident memory fully independent of trace length — and
+``jsonl:DIR`` spills one JSON row per result under ``DIR`` for offline
+analysis.  The sink is a memory knob only: table and digest are identical
+for every kind.
 
 Every ``replay`` flag is generated from the :class:`ReplayPlan` dataclass's
 field metadata (``repro.experiments.plan``), the single description of a
@@ -166,7 +162,7 @@ def build_ingest_parser() -> argparse.ArgumentParser:
         "task events or Alibaba cluster-trace batch tasks, CSV) into the "
         "replay JSONL schema in one streaming pass: the input is never "
         "materialised, jobs are emitted in arrival order, and the output "
-        "streams straight into 'replay --stream/--stream-specs'.",
+        "replays as is with 'replay --trace'.",
     )
     parser.add_argument(
         "--format",
@@ -256,7 +252,7 @@ def ingest_main(argv: List[str]) -> int:
     for label, value in stats.rows():
         print(f"  {label:<24} {value}")
     print(f"(converted in {elapsed:.1f}s; replay with: grass-experiments "
-          f"replay --trace {args.output} --stream-specs --sink aggregate)")
+          f"replay --trace {args.output} --sink aggregate)")
     return 0
 
 
@@ -407,7 +403,6 @@ def replay_main(argv: List[str]) -> int:
     elapsed = time.time() - started  # repro: allow[DET002] wall timing for display only
     comparison = executed.comparison
     num_jobs = executed.num_jobs
-    streamed = executed.streamed
     scale = plan_scale(plan)
     source_label = plan.source_label
 
@@ -420,14 +415,8 @@ def replay_main(argv: List[str]) -> int:
         f"{'policy':<22} | {'results':>7} | {'avg accuracy (deadline)':>23} | "
         f"{'avg duration (error)':>20} | {'bound met':>9} | {'spec copies':>11}"
     )
-    if plan.stream_specs:
-        mode = " (streaming specs)"
-    elif plan.stream:
-        mode = " (streaming)"
-    else:
-        mode = ""
     print(
-        f"Replayed {source_label}{mode}: {num_jobs} jobs, {plan.shards} shard(s), "
+        f"Replayed {source_label}: {num_jobs} jobs, {plan.shards} shard(s), "
         f"{len(scale.seeds)} seed(s), workers={plan.workers}, sink={plan.sink}"
     )
     print(header)
@@ -457,28 +446,17 @@ def replay_main(argv: List[str]) -> int:
             f"per-job rows spilled to {sink_factory.jsonl_dir}/"
             "results-<policy>-seed<seed>-shard<shard>.jsonl"
         )
-    truncated = sum(
-        metrics.truncated_jobs
-        for run in comparison.runs.values()
-        for metrics in run.metrics
-    )
+    truncated = executed.truncated_jobs
     if truncated:
         print(
             f"warning: {truncated} job run(s) truncated at max_simulated_time "
             "(in flight or never arrived when the clock ran out)",
             file=sys.stderr,
         )
-    if streamed is not None:
-        if streamed.stream_specs:
-            print(
-                f"peak resident jobs: {streamed.peak_resident_jobs} "
-                f"(of {streamed.num_jobs} in the trace)"
-            )
-        else:
-            print(
-                f"peak resident shards: {streamed.peak_resident_shards} "
-                f"(limit {streamed.max_resident_shards})"
-            )
+    print(
+        f"peak resident jobs: {executed.peak_resident_jobs} "
+        f"(of {num_jobs} in the trace)"
+    )
     print(f"(replayed in {elapsed:.1f}s)")
     return 0
 

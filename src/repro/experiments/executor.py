@@ -9,16 +9,9 @@ that the serial harness turned into an overnight job.  This module provides
 order**, so the output is bit-identical to the serial path no matter how the
 OS schedules the workers.
 
-Two entry points share that contract:
-
-* :meth:`ParallelExecutor.run` — the batch path: materialise every request,
-  fan out, return a list.
-* :meth:`ParallelExecutor.run_stream` — the streaming path: consume an
-  *iterator* of requests lazily (at most ``max_in_flight`` requests are ever
-  materialised and unmerged at once) and yield metrics in request order as
-  they complete.  This is what lets trace replay build arrival-window shards
-  while earlier shards are still simulating, keeping memory bounded for
-  traces that do not fit in RAM.
+Trace replay keeps its requests small: each one carries a lazy spec source
+(a path or tier config plus shard coordinates), and the executing process
+streams the shard's specs straight into the engine.
 
 Determinism contract
 --------------------
@@ -29,11 +22,9 @@ Determinism contract
 * Every simulation is seeded explicitly; a ``(policy, seed)`` run therefore
   produces the same ``MetricsCollector`` whether it executes in this process,
   a worker process, or a different worker count.
-* Results are merged strictly in request order — ``run`` never reorders and
-  ``run_stream`` yields position ``i`` before pulling request ``i + k`` past
-  its in-flight window — so ``workers=N`` and ``workers=1`` return
-  byte-identical payloads (``tests/test_executor.py`` locks this in with a
-  pickle comparison for both paths).
+* Results are merged strictly in request order — ``run`` never reorders —
+  so ``workers=N`` and ``workers=1`` return byte-identical payloads
+  (``tests/test_executor.py`` locks this in with a pickle comparison).
 
 The serial path (``workers=1``) does not touch ``multiprocessing`` at all,
 which keeps unit tests and platforms without ``fork`` happy.
@@ -41,10 +32,10 @@ which keeps unit tests and platforms without ``fork`` happy.
 Fork safety
 -----------
 
-Every worker pool in the package is created here (:func:`pool_map` and
-:meth:`ParallelExecutor.run_stream`), and this module imports the engine and
-the policy registry at module top.  A forked worker therefore inherits both
-already imported and never pays for importing them again.
+Every worker pool in the package is created here (:func:`pool_map`), and
+this module imports the engine and the policy registry at module top.  A
+forked worker therefore inherits both already imported and never pays for
+importing them again.
 """
 
 from __future__ import annotations
@@ -53,9 +44,8 @@ import concurrent.futures
 import multiprocessing
 import os
 import traceback
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.core.policies.base import SpeculationPolicy
 from repro.experiments.policies import make_policy
@@ -214,19 +204,19 @@ def _execute_request(request: RunRequest) -> MetricsCollector:
 
 def pool_map(func: Callable[[Any], Any], items: Sequence[Any], workers: int) -> List[Any]:
     """``func`` over ``items`` on a pool of ``min(workers, len(items))``
-    processes, results in item order."""
+    processes, results in item order.
+
+    Items are dispatched one at a time (``chunksize=1``): each is a whole
+    simulation, so an idle worker should take the next one rather than wait
+    behind a pre-assigned batch.
+    """
     with multiprocessing.Pool(processes=min(workers, len(items))) as pool:
-        return pool.map(func, items)
+        return pool.map(func, items, chunksize=1)
 
 
 def default_worker_count() -> int:
     """Worker count used when the caller passes ``workers=0`` ("auto")."""
     return max(1, (os.cpu_count() or 2) - 1)
-
-
-#: In-flight entry of the streaming merge: a pool ticket for a parallel-safe
-#: request, or the request itself when it is pinned to in-process execution.
-_InFlight = Tuple[str, Union["multiprocessing.pool.AsyncResult", RunRequest]]
 
 
 class ParallelExecutor:
@@ -272,66 +262,6 @@ class ParallelExecutor:
             if results[index] is None:
                 results[index] = request.execute()
         return results
-
-    def run_stream(
-        self,
-        requests: Iterable[RunRequest],
-        max_in_flight: Optional[int] = None,
-    ) -> Iterator[MetricsCollector]:
-        """Execute a request *stream* lazily, yielding metrics in order.
-
-        The streaming twin of :meth:`run`: requests are pulled from the
-        iterator only when there is room in the in-flight window, so a
-        generator that materialises expensive payloads (trace-replay shard
-        workloads) never gets more than ``max_in_flight`` of them alive in
-        this process at once.  Parallel-safe requests are submitted to the
-        pool as they are pulled; pinned (policy-instance) requests execute
-        in-process when their turn to be yielded comes, which keeps the
-        merge strictly in request order.
-
-        ``max_in_flight`` defaults to ``2 * workers`` (enough to keep every
-        worker busy while the next requests are being built).  With
-        ``workers=1`` no pool is created and the stream is fully lazy: pull
-        one, execute, yield.
-
-        Determinism matches :meth:`run`: the same requests yield
-        byte-identical metrics in the same order for any worker count.
-        """
-        iterator = iter(requests)
-        if self.workers <= 1:
-            for request in iterator:
-                yield request.execute()
-            return
-        if max_in_flight is None:
-            max_in_flight = 2 * self.workers
-        if max_in_flight < 1:
-            raise ValueError("max_in_flight must be at least 1")
-
-        def resolve(entry: _InFlight) -> MetricsCollector:
-            kind, payload = entry
-            if kind == "pool":
-                return payload.get()
-            return payload.execute()
-
-        in_flight: deque = deque()
-        with multiprocessing.Pool(processes=self.workers) as pool:
-            while True:
-                # Drain before pulling: the request generator is only
-                # advanced when the new request fits in the window, which is
-                # what bounds how many of its payloads exist at once.
-                if len(in_flight) >= max_in_flight:
-                    yield resolve(in_flight.popleft())
-                    continue
-                request = next(iterator, None)
-                if request is None:
-                    break
-                if request.parallel_safe:
-                    ticket = pool.apply_async(_execute_request, (request,))
-                    in_flight.append(("pool", ticket))
-                else:
-                    in_flight.append(("local", request))
-            while in_flight:
-                yield resolve(in_flight.popleft())
 
 
 class AsyncBridge:
@@ -388,8 +318,8 @@ class AsyncBridge:
         Must be called *on* the event loop (it captures the running loop);
         the returned callable may then be handed to blocking code running in
         any thread.  Invocations are fire-and-forget: they are queued to the
-        loop in call order, which preserves the deterministic shard-major
-        delta order of ``runner.execute``'s ``on_metrics`` hook.
+        loop in call order, which preserves the deterministic merge order
+        of ``runner.execute``'s ``on_metrics`` hook.
         """
         import asyncio
 

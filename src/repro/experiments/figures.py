@@ -9,7 +9,9 @@ the default (laptop) scale and records the outputs in ``EXPERIMENTS.md``.
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.bounds import ApproximationBound
@@ -23,7 +25,7 @@ from repro.experiments.runner import (
     compare_policies,
     improvement_in_accuracy,
     improvement_in_duration,
-    replay,
+    replay_source,
     run_policy,
 )
 from repro.model.hill import estimate_tail_index, hill_estimates
@@ -40,7 +42,7 @@ from repro.simulator.stragglers import StragglerConfig, StragglerModel
 from repro.utils.stats import mean
 from repro.workload.synthetic import WorkloadConfig, generate_workload
 from repro.workload.trace_replay import TraceReplayConfig, synthesize_trace
-from repro.workload.traces import summarize_trace, trace_from_specs
+from repro.workload.traces import save_trace, summarize_trace, trace_from_specs
 
 
 @dataclass
@@ -730,11 +732,11 @@ def trace_vs_synthetic(scale: Optional[ExperimentScale] = None) -> FigureResult:
     The paper evaluates against replayed production traces; this repo's
     stand-in synthesizes the same mix.  To validate the replay pipeline, the
     synthetic workload is exported as an observed-duration trace, replayed
-    through :func:`~repro.experiments.runner.replay`, and GRASS's gains over
-    LATE are reported side by side for both sources.  Close agreement means
-    the trace adapter (bound assignment, straggler calibration, wave
-    targeting) reproduces the synthetic methodology — the property that
-    makes user-supplied traces trustworthy inputs.
+    through :func:`~repro.experiments.simulate.replay_source`, and GRASS's
+    gains over LATE are reported side by side for both sources.  Close
+    agreement means the trace adapter (bound assignment, straggler
+    calibration, wave targeting) reproduces the synthetic methodology — the
+    property that makes user-supplied traces trustworthy inputs.
     """
     scale = scale or ExperimentScale()
     result = FigureResult(
@@ -757,13 +759,15 @@ def trace_vs_synthetic(scale: Optional[ExperimentScale] = None) -> FigureResult:
             max_tasks_per_job=scale.max_tasks_per_job,
             seed=21,
         )
-        replay_comparison = replay(
-            policies,
-            trace,
-            replay_config=TraceReplayConfig(framework="hadoop", seed=21),
-            scale=scale,
-            workers=scale.workers,
-        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{workload}.jsonl"
+            save_trace(trace, path)
+            replay_comparison = replay_source(
+                policies,
+                path,
+                replay_config=TraceReplayConfig(framework="hadoop", seed=21),
+                scale=scale,
+            )
         for source, comparison in (
             ("synthetic", synthetic_comparison),
             ("trace-replay", replay_comparison),

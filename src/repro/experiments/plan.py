@@ -1,16 +1,12 @@
 """The unified replay plan: one object describing one replay, end to end.
 
-Before this module, "replay a trace" was spread over four call shapes —
-``runner.replay()`` (batch), ``runner.replay_stream()`` (bounded-memory),
-its ``stream_specs=`` flavour, and the ``sink=`` knob — plus a trace-vs-
-generated-tier source split, with the exactly-one-of validations duplicated
-between the CLI and the library.  :class:`ReplayPlan` collapses all of that
-into a single declarative dataclass consumed by one entry point,
-:func:`repro.experiments.runner.execute`:
+:class:`ReplayPlan` is a single declarative dataclass consumed by one entry
+point, :func:`repro.experiments.runner.execute`, which runs every plan
+through the same replay pipeline:
 
-* **source** — exactly one of :attr:`trace` (a JSONL path) or
-  :attr:`cluster_jobs` (the generated cluster-scale tier);
-* **mode** — :attr:`stream` / :attr:`stream_specs` (both off = batch);
+* **source** — exactly one of :attr:`trace` (a JSONL path sorted by
+  ``(arrival_time, job_id)``) or :attr:`cluster_jobs` (the generated
+  cluster-scale tier);
 * **sink spec** — :attr:`sink` (``retain`` / ``aggregate`` / ``jsonl:DIR``);
 * **policies, seeds, workers, shards, scale** — the fan-out shape.
 
@@ -83,7 +79,7 @@ def _cli(flag: Optional[str] = None, **kwargs: Any) -> Dict[str, Dict[str, Any]]
 
 @dataclass(frozen=True)
 class ReplayPlan:
-    """One replay, fully described: source, mode, sink, policies and shape.
+    """One replay, fully described: source, sink, policies and shape.
 
     Construct it directly, from CLI args (:func:`plan_from_args`) or from
     JSON (:meth:`from_wire` / :meth:`from_json`); then hand it to
@@ -100,7 +96,8 @@ class ReplayPlan:
         metadata=_cli(
             metavar="PATH",
             help="JSONL trace file (one {job_id, arrival_time, task_durations} "
-            "object per line); exactly one of --trace / --cluster-jobs",
+            "object per line, sorted by (arrival_time, job_id)); exactly one "
+            "of --trace / --cluster-jobs",
         ),
     )
     #: Replay the generated cluster-scale tier at this many jobs instead of a
@@ -113,8 +110,8 @@ class ReplayPlan:
             help="replay the generated cluster-scale tier at N jobs instead of "
             "a trace file: jobs are generated lazily (seeded by --seed, "
             "byte-reproducible, log-normal sizes) — combine with "
-            "--stream-specs --sink aggregate to replay a million jobs with "
-            "O(concurrent jobs) resident state",
+            "--sink aggregate to replay a million jobs with O(concurrent "
+            "jobs) resident state",
         ),
     )
     #: Policies to replay under, in report order.
@@ -165,42 +162,6 @@ class ReplayPlan:
             arg_type=int,
             help="split the trace into K arrival-window shards, each replayed "
             "as an independent simulation (default 1)",
-        ),
-    )
-    #: Bounded-memory streaming pipeline (parse shard k+1 while k simulates).
-    stream: bool = field(
-        default=False,
-        metadata=_cli(
-            action="store_true",
-            help="bounded-memory streaming pipeline: parse shard k+1 while "
-            "shard k simulates, never materialising the full trace; the "
-            "metrics digest is identical to the batch path at the same "
-            "--shards count (requires an arrival-sorted trace)",
-        ),
-    )
-    #: Stream job specs lazily *inside* each simulation (implies streaming).
-    stream_specs: bool = field(
-        default=False,
-        metadata=_cli(
-            action="store_true",
-            help="stream job specs lazily inside each simulation: requests "
-            "carry a trace window description instead of materialised spec "
-            "lists and the engine evicts finished jobs, bounding resident "
-            "state to the max number of concurrent jobs — even with "
-            "--shards 1; the digest is identical to the batch path at the "
-            "same --shards count (requires an arrival-sorted trace)",
-        ),
-    )
-    #: With :attr:`stream`: resident-shard bound in the submitting process.
-    max_resident_shards: int = field(
-        default=2,
-        metadata=_cli(
-            metavar="N",
-            arg_type=int,
-            help="with --stream: at most N shard workloads resident in the "
-            "main process at once (default 2: parse one shard ahead; 1 "
-            "disables pipelining; larger N admits more cross-shard "
-            "parallelism)",
         ),
     )
     #: Result sink spec: ``retain``, ``aggregate`` or ``jsonl:DIR``.
@@ -256,19 +217,6 @@ class ReplayPlan:
     # -- derived ---------------------------------------------------------------
 
     @property
-    def mode(self) -> str:
-        """The execution mode: ``batch``, ``stream`` or ``stream-specs``."""
-        if self.stream_specs:
-            return "stream-specs"
-        if self.stream:
-            return "stream"
-        return "batch"
-
-    @property
-    def streaming(self) -> bool:
-        return self.stream or self.stream_specs
-
-    @property
     def source_label(self) -> str:
         """Human-readable source description for tables and logs."""
         if self.trace is not None:
@@ -292,18 +240,10 @@ class ReplayPlan:
             )
         if self.cluster_jobs is not None and self.cluster_jobs < 1:
             raise PlanError("--cluster-jobs must be >= 1")
-        if self.stream and self.stream_specs:
-            raise PlanError(
-                "give at most one of --stream / --stream-specs (plan fields: "
-                "stream / stream_specs) — spec streaming already parses "
-                "shards lazily"
-            )
         if self.workers < 0:
             raise PlanError("--workers must be >= 0 (0 means auto)")
         if self.shards < 1:
             raise PlanError("--shards must be >= 1")
-        if self.max_resident_shards < 1:
-            raise PlanError("--max-resident-shards must be >= 1")
         if not self.policies:
             raise PlanError("a plan needs at least one policy")
         unknown = [name for name in self.policies if name not in PLAN_POLICIES]
@@ -408,30 +348,15 @@ def add_plan_arguments(parser: argparse.ArgumentParser) -> None:
         flag = cli.pop("flag", "--" + spec.name.replace("_", "-"))
         kwargs: Dict[str, Any] = {"help": cli.pop("help", ""), "dest": spec.name}
         action = cli.pop("action", None)
-        if action == "store_true":
-            kwargs["action"] = "store_true"
-            kwargs["default"] = spec.default
-        elif action == "append":
-            kwargs["action"] = "append"
-            kwargs["default"] = None
-        else:
-            kwargs["default"] = None if spec.name in ("seeds",) else spec.default
-            arg_type = cli.pop("arg_type", None)
-            if arg_type is not None:
-                kwargs["type"] = arg_type
-            if "choices" in cli:
-                kwargs["choices"] = cli.pop("choices")
-            if "nargs" in cli:
-                kwargs["nargs"] = cli.pop("nargs")
-            if "metavar" in cli:
-                kwargs["metavar"] = cli.pop("metavar")
-        # append/store_true flags may still carry a metavar/type for help
-        if action == "append":
-            if "metavar" in cli:
-                kwargs["metavar"] = cli.pop("metavar")
-            arg_type = cli.pop("arg_type", None)
-            if arg_type is not None:
-                kwargs["type"] = arg_type
+        if action is not None:
+            kwargs["action"] = action
+        list_like = action == "append" or spec.name == "seeds"
+        kwargs["default"] = None if list_like else spec.default
+        if "arg_type" in cli:
+            kwargs["type"] = cli.pop("arg_type")
+        for key in ("choices", "nargs", "metavar"):
+            if key in cli:
+                kwargs[key] = cli.pop(key)
         parser.add_argument(flag, **kwargs)
 
 

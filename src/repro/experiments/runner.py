@@ -40,7 +40,12 @@ from repro.simulator.sinks import (
 )
 from repro.utils.stats import mean
 from repro.workload.bins import deadline_bin_label, error_bin_label
-from repro.workload.traces import ClusterTierConfig, TraceScan, scan_trace
+from repro.workload.traces import (
+    ClusterTierConfig,
+    TraceFormatError,
+    TraceScan,
+    scan_trace,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.workload.synthetic import GeneratedWorkload
@@ -52,18 +57,16 @@ __getattr__, __dir__ = lazy_exports(
         "repro.experiments.simulate": (
             "build_simulation_config",
             "compare_policies",
-            "replay",
-            "replay_stream",
+            "replay_source",
             "resimulate_cached_entry",
             "run_policy",
         ),
     },
 )
 
-#: Hook invoked as each (policy, seed, shard) simulation's metrics land, in
-#: the deterministic merge order: ``(policy_name, seed, shard_index, metrics)``.
-#: The replay service uses it to stream per-tenant aggregate deltas while the
-#: plan is still executing.
+#: Hook invoked for each (policy, seed, shard) slice's metrics, in the
+#: deterministic merge order: ``(policy_name, seed, shard_index, metrics)``.
+#: The replay service uses it to stream per-tenant aggregate deltas.
 MetricsHook = Callable[[str, int, int, MetricsCollector], None]
 
 #: Offset added to a workload's seed to derive its warm-up seed.  The
@@ -326,20 +329,36 @@ def _scan_source(source: TraceSource) -> TraceScan:
 
 
 def _calibration_scan(
-    source: TraceSource, fingerprint: str, cache: Optional[ReplayCache] = None
+    source: TraceSource,
+    fingerprint: Optional[str] = None,
+    cache: Optional[ReplayCache] = None,
 ) -> TraceScan:
     """The source's calibration scan: the cache's scan record when there is
     one, else a real scan, which then becomes the record.
 
     A replay whose slices all hit therefore reads the trace only to hash it,
     in any process.  A scan that raises (malformed or empty trace) leaves no
-    record, so the error repeats on every run.
+    record, so the error repeats on every run.  Replay cuts arrival windows
+    straight out of the file, so a trace not sorted by ``(arrival_time,
+    job_id)`` raises :class:`TraceFormatError` here, before any simulation,
+    whether or not the scan came from a record.
     """
     scan = cache.lookup_scan(fingerprint) if cache is not None else None
     if scan is None:
-        scan = _scan_source(source)
+        try:
+            scan = _scan_source(source)
+        except TraceFormatError:
+            raise
+        except ValueError:  # the scan found no jobs
+            raise PlanError(f"trace is empty: {source}") from None
         if cache is not None:
             cache.store_scan(fingerprint, scan)
+    if not scan.arrival_sorted:
+        raise TraceFormatError(
+            f"{source}: replay needs a trace sorted by (arrival_time, job_id) "
+            "and this one is not; rewrite it in that order "
+            "(grass-experiments ingest always does)"
+        )
     return scan
 
 
@@ -349,8 +368,8 @@ class _CacheSession:
 
     Carries the slice-key fields shared by every (policy, seed, shard)
     coordinate of the plan plus the coordinates already restored from the
-    cache, so the batch and streaming paths can partition the request grid
-    into hits and misses without re-deriving keys.  The restored collectors
+    cache, so replay can partition the request grid into hits and misses
+    without re-deriving keys.  The restored collectors
     are sealed around their cached chunks — byte-identical digest parts,
     no raw per-job results (aggregate consumers only).
     """
@@ -408,11 +427,10 @@ def _open_cache_session(
     """Build a plan's cache session: ``(session, calibration scan)``.
 
     The slice key holds exactly the plan fields that can change a slice's
-    digest — and none that cannot (``workers``, streaming mode, sink and
-    ``max_resident_shards`` are wall-clock/memory knobs whose
-    digest-invariance the replay-determinism matrix locks), so one cached
-    execution serves every mode/worker/sink combination of the same
-    experiment.
+    digest — and none that cannot (``workers`` and the sink are
+    wall-clock/memory knobs whose digest-invariance the replay-determinism
+    matrix locks), so one cached execution serves every worker/sink
+    combination of the same experiment.
     """
     if cache is None:
         try:
@@ -423,8 +441,6 @@ def _open_cache_session(
             ) from None
     fingerprint = source_fingerprint(source)
     scan = _calibration_scan(source, fingerprint, cache)
-    if scan.num_jobs < 1:
-        raise PlanError(f"trace is empty: {plan.source_label}")
     base = {
         "source": fingerprint,
         "num_shards": min(plan.shards, scan.num_jobs),
@@ -440,24 +456,6 @@ def _open_cache_session(
     return session, scan
 
 
-@dataclass
-class StreamedReplay:
-    """Result of :func:`replay_stream`, with its pipeline provenance."""
-
-    comparison: ComparisonResult
-    num_jobs: int
-    num_shards: int
-    max_resident_shards: int
-    peak_resident_shards: int
-    #: With ``stream_specs``: True — requests carried lazy spec sources, not
-    #: materialised shard workloads.
-    stream_specs: bool = False
-    #: Engine high-water mark of concurrently resident jobs, maximised over
-    #: every (policy, seed, shard) simulation.  The bounded-memory gauge of
-    #: spec streaming: O(max concurrent jobs), not O(trace).
-    peak_resident_jobs: int = 0
-
-
 def metrics_digest(comparison: ComparisonResult) -> str:
     """SHA-256 over the merged per-job results, canonically serialised.
 
@@ -468,8 +466,7 @@ def metrics_digest(comparison: ComparisonResult) -> str:
     digests in the deterministic (policy, seed, shard) merge order
     (:func:`repro.simulator.sinks.fold_run_digests`); every sink maintains
     those chunk digests identically, so the value is byte-identical across
-    ``--sink``, ``--stream``/``--stream-specs`` and ``--workers`` at the
-    same shard count.
+    ``--sink`` and ``--workers`` at the same shard count.
     """
     return fold_run_digests(
         (name, run.aggregates.digest_parts()) for name, run in comparison.runs.items()
@@ -486,8 +483,6 @@ class ExecutedPlan:
     num_jobs: int
     #: Arrival-window shards the source was actually split into.
     num_shards: int
-    #: Streaming pipeline gauges; ``None`` when the plan ran in batch mode.
-    streamed: Optional[StreamedReplay] = None
     #: Replay-cache session counters (hits/misses/stores/bytes/evictions);
     #: ``None`` when the plan executed without a cache.
     cache_stats: Optional[CacheCounters] = None
@@ -496,6 +491,17 @@ class ExecutedPlan:
     def digest(self) -> str:
         """The policy-tagged metrics digest (see :func:`metrics_digest`)."""
         return metrics_digest(self.comparison)
+
+    @property
+    def peak_resident_jobs(self) -> int:
+        """Engine high-water mark of concurrently resident jobs, maximised
+        over every (policy, seed, shard) simulation: O(max concurrent
+        jobs), never O(trace)."""
+        return max(
+            metrics.peak_resident_jobs
+            for run in self.comparison.runs.values()
+            for metrics in run.metrics
+        )
 
     @property
     def truncated_jobs(self) -> int:
@@ -531,7 +537,7 @@ class _RestoredComparison(ComparisonResult):
     """A comparison folded entirely from cache-restored slices.
 
     It carries aggregates only, never raw per-job results or metadata, and
-    its workload is the streaming path's spec-less stand-in, built on first
+    its workload is replay's spec-less stand-in, built on first
     access so a full cache hit never imports the workload generator.
     """
 
@@ -552,6 +558,35 @@ class _RestoredComparison(ComparisonResult):
         return self._workload
 
 
+def merge_runs(
+    comparison: ComparisonResult,
+    policy_names: Sequence[str],
+    seeds: Sequence[int],
+    num_shards: int,
+    slice_metrics: Callable[[str, int, int], MetricsCollector],
+    on_metrics: Optional[MetricsHook] = None,
+) -> ComparisonResult:
+    """Fold every slice's metrics into ``comparison`` in merge order.
+
+    The one merge of replay and comparison: slices are visited in the fixed
+    (policy, seed, shard) order — the order the digest folds in —
+    ``slice_metrics`` supplies each one and ``on_metrics`` sees each in
+    turn.  Retained raw results are concatenated in the same order.
+    """
+    for name in policy_names:
+        run = PolicyRun(policy_name=name)
+        for seed in seeds:
+            for shard_index in range(num_shards):
+                metrics = slice_metrics(name, seed, shard_index)
+                if metrics.retains_results:
+                    run.results.extend(metrics.results)
+                run.metrics.append(metrics)
+                if on_metrics is not None:
+                    on_metrics(name, seed, shard_index, metrics)
+        comparison.runs[name] = run
+    return comparison
+
+
 def _executed_from_cache(
     plan: ReplayPlan,
     scale: ExperimentScale,
@@ -567,54 +602,19 @@ def _executed_from_cache(
     seed, shard) merge order, so the digest is byte-identical to a real
     execution.
     """
-    if on_metrics is not None:
-        # Mirror each mode's live emission order: shard-major under
-        # streaming (completion order), merge order in batch.
-        if plan.streaming:
-            for shard_index in range(num_shards):
-                for name in plan.policies:
-                    for seed in scale.seeds:
-                        on_metrics(
-                            name, seed, shard_index,
-                            session.hit(name, seed, shard_index),
-                        )
-        else:
-            for name in plan.policies:
-                for seed in scale.seeds:
-                    for shard_index in range(num_shards):
-                        on_metrics(
-                            name, seed, shard_index,
-                            session.hit(name, seed, shard_index),
-                        )
-    comparison = _RestoredComparison(plan, scan.num_jobs)
-    peak_resident_jobs = 0
-    for name in plan.policies:
-        run = PolicyRun(policy_name=name)
-        for seed in scale.seeds:
-            for shard_index in range(num_shards):
-                metrics = session.hit(name, seed, shard_index)
-                peak_resident_jobs = max(
-                    peak_resident_jobs, metrics.peak_resident_jobs
-                )
-                run.metrics.append(metrics)
-        comparison.runs[name] = run
-    streamed = None
-    if plan.streaming:
-        streamed = StreamedReplay(
-            comparison=comparison,
-            num_jobs=scan.num_jobs,
-            num_shards=num_shards,
-            max_resident_shards=plan.max_resident_shards,
-            peak_resident_shards=0,
-            stream_specs=plan.stream_specs,
-            peak_resident_jobs=peak_resident_jobs,
-        )
+    comparison = merge_runs(
+        _RestoredComparison(plan, scan.num_jobs),
+        plan.policies,
+        scale.seeds,
+        num_shards,
+        session.hit,
+        on_metrics,
+    )
     return ExecutedPlan(
         plan=plan,
         comparison=comparison,
         num_jobs=scan.num_jobs,
         num_shards=num_shards,
-        streamed=streamed,
         cache_stats=session.cache.counters,
     )
 
@@ -654,55 +654,48 @@ def execute(
 ) -> ExecutedPlan:
     """Execute a :class:`ReplayPlan` — the single entry point for replay.
 
-    Everything the deprecated ``replay()`` / ``replay_stream()`` pair (and
-    their ``stream_specs=`` / ``sink=`` knobs) could express is one plan
-    field here, and the plan round-trips through JSON, so the offline CLI,
-    the test matrix and the always-on replay service all execute the *same*
-    object.  Determinism carries over unchanged: for a given plan the
-    metrics digest is byte-identical across ``workers``, modes and sinks at
-    the same shard count.
+    The plan round-trips through JSON, so the offline CLI, the test matrix
+    and the always-on replay service all execute the *same* object.  For a
+    given plan the metrics digest is byte-identical across ``workers`` and
+    sinks at the same shard count.
 
     With ``plan.cache`` set (or an explicit ``cache`` instance), every
     (policy, seed, shard) coordinate is looked up before simulating: hits
     restore their chunks from disk and fold into the same deterministic
-    merge order, misses fan out to the executor as usual and are stored on
-    completion.  An all-hits plan skips simulation, the trace load and the
-    import of :mod:`repro.experiments.simulate` (and with it the engine)
-    entirely.  The digest is byte-identical with and without the cache;
+    merge order, misses run through the replay pipeline
+    (:func:`repro.experiments.simulate.replay_source`) and are stored.  An
+    all-hits plan skips simulation and the import of
+    :mod:`repro.experiments.simulate` (and with it the engine) entirely.
+    The digest is byte-identical with and without the cache;
     ``cache_stats`` on the result reports the session's counters.  (With a
     retaining sink, raw per-job results are only present for recomputed
     slices — cached entries carry aggregates only; every aggregate/digest
     surface is complete and exact either way.)
 
-    ``on_metrics`` is invoked as each (policy, seed, shard) simulation's
-    metrics land — shard-major completion order under streaming modes, merge
-    order in batch mode; cache hits are emitted up front in the same order —
-    which is the hook the service's per-tenant delta streaming builds on.
+    ``on_metrics`` is invoked for each (policy, seed, shard) slice in the
+    deterministic merge order, restored and fresh slices alike — the hook
+    the service's per-tenant delta streaming builds on.
 
-    Raises :class:`~repro.experiments.plan.PlanError` on an invalid plan,
-    ``FileNotFoundError`` / ``OSError`` when a trace path cannot be read and
-    ``TraceFormatError`` on malformed traces.
+    Raises :class:`~repro.experiments.plan.PlanError` on an invalid plan or
+    an empty trace, ``FileNotFoundError`` / ``OSError`` when a trace path
+    cannot be read and ``TraceFormatError`` on a malformed or unsorted
+    trace — all before any simulation starts.
     """
     plan.validate()
     scale = plan_scale(plan)
     source = plan_source(plan)
 
     session: Optional[_CacheSession] = None
-    scan: Optional[TraceScan] = None
     if cache is not None or plan.cache is not None:
         session, scan = _open_cache_session(plan, scale, source, cache)
-        if plan.streaming and not scan.arrival_sorted:
-            raise ValueError(
-                f"streaming replay requires a trace sorted by "
-                f"(arrival_time, job_id); {source} is not — sort it or use "
-                "batch replay"
-            )
         num_shards = min(plan.shards, scan.num_jobs)
         session.probe(plan.policies, scale.seeds, num_shards)
         if session.complete(plan.policies, scale.seeds, num_shards):
             return _executed_from_cache(
                 plan, scale, scan, num_shards, session, on_metrics
             )
+    else:
+        scan = _calibration_scan(source)
 
     # At least one slice misses: the one boundary where replay imports the
     # engine side (executor, engine, policies, spec generation).

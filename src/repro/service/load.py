@@ -34,14 +34,13 @@ from repro.service.client import PlanRejected, ReplayServiceClient
 from repro.service.server import ReplayService, ServiceConfig
 from repro.utils.stats import percentile
 
-#: Plan used by the overload burst: the smallest valid streaming replay.
+#: Plan used by the overload burst: the smallest valid replay.
 _BURST_PLAN = ReplayPlan(
     cluster_jobs=4,
     policies=("grass",),
     scale="quick",
     seeds=(1,),
     shards=1,
-    stream_specs=True,
     sink="aggregate",
 )
 
@@ -62,7 +61,6 @@ def build_plans(
             seeds=(1,),
             workers=workers,
             shards=shards,
-            stream_specs=True,
             sink="aggregate",
             seed=index,
         ).validate()

@@ -20,8 +20,8 @@ Life of a submission:
 3. The dispatcher task pops submissions in weighted fair-share order
    whenever an execution slot is free and runs
    :func:`repro.experiments.runner.execute` on the bridge pool.  The
-   ``on_metrics`` hook fires in the worker thread as each (policy, seed,
-   shard) simulation lands; its chunk is serialised there and marshalled to
+   ``on_metrics`` hook fires in the worker thread for each (policy, seed,
+   shard) slice, in merge order; its chunk is serialised there and marshalled to
    the loop with ``call_soon_threadsafe``, which preserves per-submission
    delta order and makes the outbox queue safe.
 4. ``done`` carries the policy-tagged digest plus the merge-order metadata

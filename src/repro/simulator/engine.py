@@ -87,8 +87,8 @@ metrics' per-job results, never specs, tasks or estimators:
   A ``Sequence`` is sorted and validated up front exactly as before — the
   two ingestion paths produce byte-identical event streams (same RNG spawn
   order, same ``(arrival_time, job_id)`` tie-breaking), which
-  ``tests/test_stream_specs.py`` locks in with a pickled-metrics property
-  test.
+  ``tests/test_lazy_ingestion.py`` locks in with a pickled-metrics property
+  test.  Trace replay always takes the iterator path.
 * ``_finish_job`` evicts the job's ``Job``, ``TaskEstimator`` and spec the
   moment its :class:`~repro.core.job.JobResult` is recorded (outstanding
   event handles were already cancelled), so finished jobs never accumulate.

@@ -1,8 +1,8 @@
 """Pluggable result sinks: where a simulation's :class:`JobResult`\\ s go.
 
 ``MetricsCollector`` used to hard-code one answer — append every result to a
-list — which left a ``--stream-specs`` replay O(1) in specs and shards but
-still O(trace) in results.  GRASS's evaluation only ever reports *aggregates*
+list — which left a replay O(1) in specs and shards but still O(trace) in
+results.  GRASS's evaluation only ever reports *aggregates*
 (mean accuracy of deadline-bound jobs, mean duration of error-bound jobs,
 by-bin breakdowns), so this module makes the destination pluggable:
 
@@ -449,8 +449,8 @@ class SealedChunkSink(ResultSink):
 class AggregateSink(ResultSink):
     """Fold results into :class:`StreamingAggregates` and drop them.
 
-    With this sink a ``--stream-specs`` replay holds zero :class:`JobResult`
-    objects: resident memory is fully independent of trace length.
+    With this sink a replay holds zero :class:`JobResult` objects: resident
+    memory is fully independent of trace length.
     """
 
 

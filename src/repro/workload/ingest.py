@@ -59,9 +59,8 @@ Emitted jobs are renumbered ``0, 1, 2, ...`` in arrival order (source job
 keys are 64-bit integers in one format and strings in the other; sequential
 ids keep the output uniform and collision-free) and arrivals are rebased so
 the trace starts at zero.  Because emission is arrival-ordered, the output
-satisfies the ``(arrival_time, job_id)`` sort that ``--stream`` /
-``--stream-specs`` replay requires — converted traces stream straight into
-the bounded-memory pipeline.
+satisfies the ``(arrival_time, job_id)`` sort that replay requires —
+converted traces replay as they are, with O(concurrent jobs) memory.
 """
 
 from __future__ import annotations

@@ -17,8 +17,10 @@ answers by construction:
   trace's observed mean slowest-to-median ratio (the §2.2 statistic), so the
   replayed severity matches the trace rather than the profile's default.
 * **Scale-out** — a full-length trace is split into arrival-window shards
-  (:func:`slice_trace`); each (policy, shard) pair is an independent
-  simulation that :func:`repro.experiments.runner.replay` fans over the
+  (:func:`shard_sizes`); each (policy, shard) pair is an independent
+  simulation, described by a lazy :class:`TraceSpecSource` (or
+  :class:`ClusterSpecSource`) that
+  :func:`repro.experiments.simulate.replay_source` fans over the
   :class:`~repro.experiments.executor.ParallelExecutor`.
 
 Because per-job seeding depends only on the job id, a job gets the same
@@ -117,9 +119,9 @@ def straggler_cap_from_ratio(mean_ratio: float) -> float:
 
     The cap must exceed the multiplier's median (1.0), so traces with no
     observed straggling still yield a valid — nearly degenerate — model.
-    Shared by the batch path (:func:`observed_straggler_cap`) and the
-    streaming calibration pre-pass (``TraceScan``), so both derive the same
-    cap from the same statistic.
+    Shared by :func:`observed_straggler_cap` (materialised traces) and
+    replay's calibration scan (``TraceScan``), so both derive the same cap
+    from the same statistic.
     """
     return max(1.05, mean_ratio)
 
@@ -249,7 +251,7 @@ def trace_to_workload(
         error_range=config.error_range,
     )
     workload = GeneratedWorkload(config=stand_in)
-    # Materialise through the streaming adapter so the batch and lazy paths
+    # Materialise through the lazy adapter so materialised and lazy specs
     # cannot drift: byte-identical specs are structural, not a convention.
     workload.job_specs.extend(
         iter_job_specs(ordered, config, metadata=workload.metadata)
@@ -312,10 +314,9 @@ class TraceSpecSource:
     window and feeds :func:`iter_job_specs` straight into the engine's lazy
     ingestion — no process ever holds the shard's specs at once.
 
-    ``num_shards == 1`` describes the whole trace (the unsharded million-job
-    replay this source exists for).  The trace file must be sorted by
-    ``(arrival_time, job_id)`` — the caller (``runner.replay_stream``)
-    verifies that with the calibration scan before building sources.
+    ``num_shards == 1`` describes the whole trace.  The trace file must be
+    sorted by ``(arrival_time, job_id)`` — replay verifies that with its
+    calibration scan before building sources.
     """
 
     trace_path: str
@@ -335,12 +336,13 @@ class TraceSpecSource:
         """Job count of this shard (same boundaries as :func:`slice_trace`)."""
         return shard_sizes(self.total_jobs, self.num_shards)[self.shard_index]
 
-    def iter_specs(self) -> Iterator[JobSpec]:
-        """Lazily parse this shard's window and adapt it spec by spec."""
+    def iter_specs(self, metadata: Optional[dict] = None) -> Iterator[JobSpec]:
+        """Lazily parse this shard's window and adapt it spec by spec
+        (``metadata`` as in :func:`iter_job_specs`)."""
         sizes = shard_sizes(self.total_jobs, self.num_shards)
         start = sum(sizes[: self.shard_index])
         window = islice(iter_trace(self.trace_path), start, start + sizes[self.shard_index])
-        return iter_job_specs(window, self.replay_config)
+        return iter_job_specs(window, self.replay_config, metadata=metadata)
 
     def __str__(self) -> str:
         return (
@@ -352,12 +354,11 @@ class TraceSpecSource:
 def shard_sizes(total_jobs: int, num_shards: int) -> List[int]:
     """Job counts of each arrival-window shard for a trace of ``total_jobs``.
 
-    The single definition of shard boundaries: :func:`slice_trace` (batch)
-    and :func:`iter_trace_shards` (streaming) both cut windows of these
-    sizes, which is what makes a streamed replay's shard split — and hence
-    its metrics digest — identical to the batch path's at the same shard
-    count.  Shard counts larger than the trace collapse to one job per
-    shard; no shard is ever empty.
+    The single definition of shard boundaries: :func:`slice_trace` and the
+    lazy spec sources both cut windows of these sizes, so a replay's shard
+    split is the same whether its shards are materialised or streamed.
+    Shard counts larger than the trace collapse to one job per shard; no
+    shard is ever empty.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be at least 1")
@@ -383,47 +384,6 @@ def slice_trace(trace: Sequence[TraceJob], num_shards: int) -> List[List[TraceJo
         shards.append(ordered[start : start + size])
         start += size
     return shards
-
-
-def iter_trace_shards(
-    jobs: Iterable[TraceJob], num_shards: int, total_jobs: int
-) -> Iterator[List[TraceJob]]:
-    """Lazily cut an arrival-ordered job stream into batch-identical shards.
-
-    The streaming twin of :func:`slice_trace`: given the trace's total job
-    count (from the calibration pre-pass, ``traces.scan_trace``) the shard
-    boundaries are known up front, so shards can be materialised one at a
-    time — shard ``k+1`` is only parsed once the consumer asks for it, which
-    is what lets shard ``k`` simulate while ``k+1`` is still on disk.
-
-    The stream must be sorted by ``(arrival_time, job_id)`` — the order
-    :func:`slice_trace` sorts into — or the cut windows would differ from
-    the batch path's; an out-of-order record raises ``ValueError``.  The
-    stream must also contain exactly ``total_jobs`` jobs.
-    """
-    iterator = iter(jobs)
-    previous_key = None
-    produced = 0
-    for size in shard_sizes(total_jobs, num_shards):
-        shard: List[TraceJob] = []
-        for _ in range(size):
-            job = next(iterator, None)
-            if job is None:
-                raise ValueError(
-                    f"trace stream ended after {produced} jobs; expected {total_jobs}"
-                )
-            key = (job.arrival_time, job.job_id)
-            if previous_key is not None and key < previous_key:
-                raise ValueError(
-                    "streaming shards require an arrival-sorted trace "
-                    f"(job {job.job_id} arrives at {job.arrival_time} after a later key)"
-                )
-            previous_key = key
-            shard.append(job)
-            produced += 1
-        yield shard
-    if next(iterator, None) is not None:
-        raise ValueError(f"trace stream has more than the expected {total_jobs} jobs")
 
 
 # ---------------------------------------------------------- cluster-scale tier
@@ -467,8 +427,8 @@ def iter_cluster_trace(
 
     O(1) memory: each job is generated, yielded, and dropped.  Arrivals are
     strictly increasing in the index (the jitter never spans an interarrival
-    gap), so the stream satisfies the ``(arrival_time, job_id)`` sort every
-    streaming consumer requires, and duplicate ids are impossible by
+    gap), so the stream satisfies the ``(arrival_time, job_id)`` sort replay
+    requires, and duplicate ids are impossible by
     construction — no seen-id set is needed, unlike :func:`iter_trace`.
     """
     stop = config.num_jobs if stop is None else min(stop, config.num_jobs)
@@ -503,14 +463,15 @@ class ClusterSpecSource:
         """Job count of this shard (same boundaries as :func:`slice_trace`)."""
         return shard_sizes(self.tier.num_jobs, self.num_shards)[self.shard_index]
 
-    def iter_specs(self) -> Iterator[JobSpec]:
-        """Regenerate this shard's window and adapt it spec by spec."""
+    def iter_specs(self, metadata: Optional[dict] = None) -> Iterator[JobSpec]:
+        """Regenerate this shard's window and adapt it spec by spec
+        (``metadata`` as in :func:`iter_job_specs`)."""
         sizes = shard_sizes(self.tier.num_jobs, self.num_shards)
         start = sum(sizes[: self.shard_index])
         window = iter_cluster_trace(
             self.tier, start=start, stop=start + sizes[self.shard_index]
         )
-        return iter_job_specs(window, self.replay_config)
+        return iter_job_specs(window, self.replay_config, metadata=metadata)
 
     def __str__(self) -> str:
         return (

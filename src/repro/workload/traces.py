@@ -147,13 +147,12 @@ def iter_trace(path: Union[str, Path]) -> Iterator[TraceJob]:
     """Lazily parse a JSON-lines trace, one :class:`TraceJob` at a time.
 
     The streaming twin of :func:`load_trace`: jobs are yielded as their lines
-    are read, so a trace never has to fit in memory at once.  The streaming
-    parse enforces the same duplicate-job-id guard ``load_trace`` enforces —
-    ``--stream``/``--stream-specs`` replay must reject the same malformed
-    traces batch replay rejects.  The guard's seen-id set is the only state
-    that grows with the file: O(#jobs) integers, never task payloads (a
-    1M-job trace costs ~30 MB of ids — bounded-by-ids, not O(1); generated
-    sources whose ids are sequential by construction skip it entirely).
+    are read, so a trace never has to fit in memory at once.  The parse
+    rejects duplicate job ids as it goes; the guard's seen-id set is the
+    only state that grows with the file: O(#jobs) integers, never task
+    payloads (a 1M-job trace costs ~30 MB of ids — bounded-by-ids, not
+    O(1); generated sources whose ids are sequential by construction skip
+    it entirely).
     Blank lines are skipped.
     Anything else that is not a well-formed record — invalid JSON, a
     non-object line, missing or non-numeric fields, values :class:`TraceJob`
@@ -207,22 +206,23 @@ def load_trace(path: Union[str, Path]) -> List[TraceJob]:
 class TraceScan:
     """Bounded-memory statistics from one streaming pass over a trace file.
 
-    This is the calibration pre-pass of streaming replay: sharded replay
-    needs the trace's *total* job count (to cut the same arrival windows the
-    batch path cuts) and its *mean* slowest-to-median ratio (every shard
-    replays under the full trace's observed straggler severity) before the
-    first shard simulates.  The statistics themselves accumulate in O(1)
-    memory; the pass as a whole retains only the duplicate-id check's set of
-    job ids (O(#jobs) ints — never task payloads).  The ratio sum folds
-    left-to-right exactly like ``stats.mean`` over the full list, so the
-    derived straggler cap is float-identical to the batch path's.
+    This is the calibration pre-pass of replay: sharded replay needs the
+    trace's *total* job count (to cut the same arrival windows as
+    :func:`~repro.workload.trace_replay.slice_trace`) and its *mean*
+    slowest-to-median ratio (every shard replays under the full trace's
+    observed straggler severity) before the first shard simulates.  The
+    statistics themselves accumulate in O(1) memory; the pass as a whole
+    retains only the duplicate-id check's set of job ids (O(#jobs) ints —
+    never task payloads).  The ratio sum folds left-to-right exactly like
+    ``stats.mean`` over the full list, so the derived straggler cap is
+    float-identical to ``observed_straggler_cap`` over the loaded trace.
     """
 
     num_jobs: int
     mean_slowest_to_median: float
     #: True when (arrival_time, job_id) is non-decreasing in file order —
-    #: the precondition for lazily cutting the same shards batch replay cuts
-    #: after sorting.
+    #: the precondition for cutting arrival windows straight out of the file
+    #: (replay refuses a trace without it).
     arrival_sorted: bool
 
 
@@ -231,8 +231,8 @@ def scan_jobs(jobs: Iterable[TraceJob], source: str = "trace") -> TraceScan:
 
     The single definition of the streaming calibration pass: O(1) memory, the
     ratio sum folds left-to-right exactly like ``stats.mean`` over a full
-    list.  :func:`scan_trace` applies it to a JSONL file; streaming replay of
-    a *generated* trace (the cluster tier) applies it to the generator
+    list.  :func:`scan_trace` applies it to a JSONL file; replay of a
+    *generated* trace (the cluster tier) applies it to the generator
     directly — same statistics, same floats, no file required.  ``source``
     only names the stream in the empty-input error.
     """
@@ -261,9 +261,8 @@ def scan_trace(path: Union[str, Path]) -> TraceScan:
 
     Raises :class:`TraceFormatError` for malformed records (the pass shares
     :func:`iter_trace`'s validation — including the duplicate-id guard, so
-    ``--stream``/``--stream-specs`` replay rejects the same malformed traces
-    batch replay rejects before any simulation starts) and ``ValueError``
-    for an empty trace.
+    replay rejects a malformed trace before any simulation starts) and
+    ``ValueError`` for an empty trace.
     """
     return scan_jobs(iter_trace(path), source=str(path))
 
@@ -276,9 +275,8 @@ class ClusterTierConfig:
     575K/500K (§Table 1).  This tier closes the *scale* gap: a seeded
     generator (:func:`repro.workload.trace_replay.iter_cluster_trace`) that
     yields :class:`TraceJob` records one at a time, byte-reproducible for a given config, so an
-    ``iter_trace``-shaped source can feed ``--stream-specs --sink aggregate``
-    replay at six orders of magnitude without any file or list ever holding
-    the trace.
+    ``iter_trace``-shaped source can feed ``--sink aggregate`` replay at six
+    orders of magnitude without any file or list ever holding the trace.
 
     Every job is generated **independently** from ``(seed, job index)``
     (:func:`~repro.workload.trace_replay.cluster_trace_job` is random-access), which is what lets a shard

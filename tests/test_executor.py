@@ -11,11 +11,13 @@ import pickle
 import pytest
 
 from repro.baselines import NoSpeculationPolicy
+from repro.experiments import executor as executor_module
 from repro.experiments.executor import (
     ParallelExecutor,
     RequestExecutionError,
     RunRequest,
     default_worker_count,
+    pool_map,
 )
 from repro.experiments.runner import (
     ExperimentScale,
@@ -160,14 +162,6 @@ class TestWorkerErrorSurfacing:
         assert "jobs=0" in message  # the failing request, not the good one
         assert "worker traceback" in message
 
-    def test_run_stream_surfaces_worker_failures_too(self):
-        with pytest.raises(RequestExecutionError, match="jobs=0"):
-            list(
-                ParallelExecutor(workers=2).run_stream(
-                    iter([self._failing_request(), self._failing_request()])
-                )
-            )
-
     def test_request_repr_is_concise(self):
         workload = _tiny_workload()
         config = build_simulation_config(workload, TINY, seed=3, oracle_estimates=False)
@@ -176,71 +170,28 @@ class TestWorkerErrorSurfacing:
         assert text == f"RunRequest(policy=late, jobs={len(workload.job_specs)}, seed=3, warm=none)"
 
 
-class TestRunStream:
-    def _requests(self, count: int = 6):
-        workload = _tiny_workload()
-        return [
-            RunRequest(
-                workload=workload,
-                config=build_simulation_config(workload, TINY, seed, False),
-                policy_name=name,
-            )
-            for name in ("late", "no-spec", "gs")
-            for seed in range(1, 1 + count // 3)
-        ]
+class TestPoolDispatch:
+    def test_pool_map_dispatches_one_request_at_a_time(self, monkeypatch):
+        """Each request is a whole simulation: no pre-assigned batches."""
+        calls = []
 
-    def test_stream_matches_batch_bytes_for_any_workers(self):
-        requests = self._requests()
-        batch = ParallelExecutor(workers=1).run(requests)
-        for workers in (1, 4):
-            streamed = list(
-                ParallelExecutor(workers=workers).run_stream(iter(requests))
-            )
-            assert len(streamed) == len(batch)
-            for stream_metrics, batch_metrics in zip(streamed, batch):
-                assert pickle.dumps(stream_metrics) == pickle.dumps(batch_metrics)
+        class RecordingPool:
+            def __init__(self, processes):
+                self.processes = processes
 
-    def test_stream_bounds_materialised_requests(self):
-        """The request generator is never pulled past the in-flight window."""
-        requests = self._requests()
-        pulled = []
+            def __enter__(self):
+                return self
 
-        def generator():
-            for index, request in enumerate(requests):
-                pulled.append(index)
-                yield request
+            def __exit__(self, *exc_info):
+                return False
 
-        executor = ParallelExecutor(workers=2)
-        merged = 0
-        for _ in executor.run_stream(generator(), max_in_flight=2):
-            # At most window requests may be ahead of the merge point.
-            assert len(pulled) <= merged + 2 + 1
-            merged += 1
-        assert merged == len(requests)
+            def map(self, func, items, chunksize=None):
+                calls.append((self.processes, chunksize))
+                return [func(item) for item in items]
 
-    def test_stream_handles_pinned_requests_in_order(self):
-        workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1, oracle_estimates=False)
-        requests = [
-            RunRequest(workload=workload, config=config, policy_name="late"),
-            RunRequest(workload=workload, config=config, policy=NoSpeculationPolicy()),
-            RunRequest(workload=workload, config=config, policy_name="no-spec"),
-        ]
-        serial = ParallelExecutor(workers=1).run(requests)
-        streamed = list(ParallelExecutor(workers=4).run_stream(iter(requests)))
-        for serial_metrics, stream_metrics in zip(serial, streamed):
-            assert pickle.dumps(serial_metrics) == pickle.dumps(stream_metrics)
-
-    def test_stream_empty_iterator(self):
-        assert list(ParallelExecutor(workers=4).run_stream(iter([]))) == []
-
-    def test_stream_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            list(
-                ParallelExecutor(workers=2).run_stream(
-                    iter(self._requests()), max_in_flight=0
-                )
-            )
+        monkeypatch.setattr(executor_module.multiprocessing, "Pool", RecordingPool)
+        assert pool_map(abs, [-3, -1, 2, -4], workers=2) == [3, 1, 2, 4]
+        assert calls == [(2, 1)]
 
 
 class TestWarmFieldValidation:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.cli import main, metrics_digest
-from repro.experiments.runner import ExperimentScale, replay, replay_stream
+from repro.experiments.runner import ExperimentScale, replay_source
 from repro.simulator.sinks import parse_sink_spec
 from repro.workload import (
     ClusterTierConfig,
@@ -32,6 +32,8 @@ from repro.workload import (
     save_trace,
     scan_trace,
 )
+
+from tests.reference_replay import reference_replay
 
 SAMPLES = Path(__file__).parents[1] / "traces" / "samples"
 GOOGLE_SAMPLE = SAMPLES / "google_task_events.sample.csv"
@@ -172,15 +174,14 @@ class TestRoundTripReplay:
         out = tmp_path / "converted.jsonl"
         ingest_trace(source_format, sample, out)
         replay_config = TraceReplayConfig(seed=0)
-        batch = replay(
-            ["late"], load_trace(out), replay_config=replay_config,
-            scale=TINY, workers=1,
+        reference = reference_replay(
+            ["late"], load_trace(out), replay_config=replay_config, scale=TINY
         )
-        streamed = replay_stream(
+        replayed = replay_source(
             ["late"], out, replay_config=replay_config, scale=TINY,
-            workers=4, stream_specs=True, sink=parse_sink_spec("aggregate"),
+            workers=4, sink=parse_sink_spec("aggregate"),
         )
-        assert metrics_digest(batch) == metrics_digest(streamed.comparison)
+        assert metrics_digest(reference) == metrics_digest(replayed)
 
 
 # ------------------------------------------------------------- cluster tier
@@ -222,21 +223,21 @@ class TestClusterTier:
         )
         assert [encode(j) for j in first] == [encode(j) for j in second]
 
-    def test_batch_and_stream_specs_digests_match(self):
+    def test_tier_replay_matches_the_materialised_reference(self):
         tier = ClusterTierConfig(num_jobs=120, seed=0)
         replay_config = TraceReplayConfig(seed=0)
-        batch = replay(
+        reference = reference_replay(
             ["late"], list(iter_cluster_trace(tier)),
-            replay_config=replay_config, scale=TINY, shards=3, workers=1,
+            replay_config=replay_config, scale=TINY, shards=3,
         )
-        streamed = replay_stream(
+        replayed = replay_source(
             ["late"], tier, replay_config=replay_config, scale=TINY,
-            shards=3, workers=2, stream_specs=True,
-            sink=parse_sink_spec("aggregate"),
+            shards=3, workers=2, sink=parse_sink_spec("aggregate"),
         )
-        assert metrics_digest(batch) == metrics_digest(streamed.comparison)
-        assert streamed.num_jobs == 120
-        assert 1 <= streamed.peak_resident_jobs < 120
+        assert metrics_digest(reference) == metrics_digest(replayed)
+        assert replayed.workload.config.num_jobs == 120
+        peak = max(m.peak_resident_jobs for m in replayed.runs["late"].metrics)
+        assert 1 <= peak < 120
 
 
 # ----------------------------------------------------- duplicate-id guarding
@@ -265,12 +266,11 @@ class TestDuplicateIdGuard:
         with pytest.raises(TraceFormatError, match="duplicate job_id 1"):
             scan_trace(path)
 
-    @pytest.mark.parametrize("flag", ["--stream", "--stream-specs"])
-    def test_streaming_cli_rejects_duplicate_ids(self, tmp_path, capsys, flag):
+    def test_replay_cli_rejects_duplicate_ids(self, tmp_path, capsys):
         path = self.duplicate_trace(tmp_path)
         exit_code = main([
             "replay", "--trace", str(path), "--policy", "late",
-            "--scale", "quick", flag,
+            "--scale", "quick",
         ])
         captured = capsys.readouterr()
         assert exit_code == 2

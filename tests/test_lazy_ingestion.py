@@ -1,11 +1,11 @@
-"""Tests for streaming job-spec ingestion and finished-job eviction.
+"""Tests for lazy job-spec ingestion and finished-job eviction.
 
 The load-bearing properties:
 
 * **Lazy == materialised** — feeding the engine an arrival-ordered spec
   *iterator* produces byte-identical metrics to handing it the full list,
-  for arbitrary arrival orders; ``replay_stream(stream_specs=True)`` prints
-  the batch path's digest for any shard split and worker count.
+  for arbitrary arrival orders, and a lazy spec source yields exactly the
+  specs of the materialised shard workload it describes.
 * **Eviction** — ``_finish_job`` drops the job's ``Job``, estimator and
   spec the moment its result is recorded, so resident state tracks
   *concurrency*, never trace length.
@@ -21,14 +21,11 @@ from hypothesis import strategies as st
 
 from repro.baselines import NoSpeculationPolicy
 from repro.core.bounds import ApproximationBound
-from repro.experiments.cli import metrics_digest
 from repro.experiments.executor import RunRequest
 from repro.experiments.runner import (
     WARMUP_SEED_OFFSET,
     ExperimentScale,
     compare_policies,
-    replay,
-    replay_stream,
 )
 from repro.experiments.warmup import WarmupCache, check_warmup_seed_collision
 from repro.simulator.engine import Simulation, SimulationConfig
@@ -47,11 +44,6 @@ from repro.workload.trace_replay import (
 from repro.workload.traces import save_trace
 
 from tests.conftest import make_job_spec, make_simulation_config
-
-TINY = ExperimentScale(
-    num_jobs=8, size_scale=0.1, max_tasks_per_job=60, num_machines=40,
-    seeds=(1,), warmup_jobs=0,
-)
 
 
 def small_trace(num_jobs: int = 15, seed: int = 9):
@@ -256,80 +248,6 @@ class TestIterJobSpecs:
         assert pickle.dumps(metadata) == pickle.dumps(batch.workload.metadata)
 
 
-class TestStreamSpecsReplay:
-    @pytest.mark.parametrize("shards", [1, 3])
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_digest_matches_batch(self, tmp_path, shards, workers):
-        trace = small_trace()
-        path = tmp_path / "trace.jsonl"
-        save_trace(sorted(trace, key=lambda j: (j.arrival_time, j.job_id)), path)
-        config = TraceReplayConfig(seed=0)
-        batch = replay(
-            ["late", "grass"], trace, replay_config=config, scale=TINY, shards=shards
-        )
-        streamed = replay_stream(
-            ["late", "grass"], path, replay_config=config, scale=TINY,
-            shards=shards, workers=workers, stream_specs=True,
-        )
-        assert metrics_digest(streamed.comparison) == metrics_digest(batch)
-        for name in batch.runs:
-            for ms, mb in zip(
-                streamed.comparison.runs[name].metrics, batch.runs[name].metrics
-            ):
-                assert pickle.dumps(ms) == pickle.dumps(mb)
-        # The parent never materialises a shard; the engine gauge is bounded.
-        assert streamed.stream_specs
-        assert streamed.peak_resident_shards == 0
-        assert 1 <= streamed.peak_resident_jobs <= len(trace)
-
-    def test_metadata_survives_spec_streaming(self, tmp_path):
-        trace = small_trace()
-        path = tmp_path / "trace.jsonl"
-        save_trace(sorted(trace, key=lambda j: (j.arrival_time, j.job_id)), path)
-        batch = replay(["late"], trace, scale=TINY)
-        streamed = replay_stream(["late"], path, scale=TINY, stream_specs=True)
-        assert pickle.dumps(streamed.comparison.workload.metadata) == pickle.dumps(
-            batch.workload.metadata
-        )
-        assert streamed.comparison.workload.job_specs == []
-
-
-class TestStreamSpecsCli:
-    def test_cli_digest_matches_batch(self, tmp_path, capsys):
-        from repro.experiments.cli import main
-
-        trace = small_trace()
-        path = tmp_path / "trace.jsonl"
-        save_trace(sorted(trace, key=lambda j: (j.arrival_time, j.job_id)), path)
-        base = ["replay", "--trace", str(path), "--policy", "late",
-                "--scale", "quick", "--seed", "3"]
-        assert main(base) == 0
-        batch_out = capsys.readouterr().out
-        assert main(base + ["--stream-specs", "--workers", "4"]) == 0
-        stream_out = capsys.readouterr().out
-
-        def digest(text):
-            for line in text.splitlines():
-                if line.startswith("metrics digest:"):
-                    return line
-            raise AssertionError(f"no digest in {text!r}")
-
-        assert digest(batch_out) == digest(stream_out)
-        assert "(streaming specs)" in stream_out
-        assert "peak resident jobs:" in stream_out
-
-    def test_cli_unsorted_trace_exits_cleanly(self, tmp_path, capsys):
-        from repro.experiments.cli import main
-
-        path = tmp_path / "unsorted.jsonl"
-        path.write_text(
-            '{"job_id": 1, "arrival_time": 5.0, "task_durations": [1.0]}\n'
-            '{"job_id": 2, "arrival_time": 1.0, "task_durations": [1.0]}\n'
-        )
-        assert main(["replay", "--trace", str(path), "--stream-specs"]) == 2
-        assert "sorted" in capsys.readouterr().err
-
-
 class TestEmptyTraceErrors:
     def test_observed_straggler_cap_names_the_problem(self):
         with pytest.raises(ValueError, match="empty trace"):
@@ -414,57 +332,3 @@ class TestLazyIngestionProperty:
             config, NoSpeculationPolicy(), iter(sorted_specs(specs))
         ).run()
         assert pickle.dumps(eager) == pickle.dumps(lazy)
-
-
-class TestStreamSpecsProperty:
-    @settings(
-        max_examples=8,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        jobs=st.lists(
-            st.tuples(
-                st.floats(min_value=0.0, max_value=5.0),
-                st.lists(
-                    st.floats(min_value=0.5, max_value=30.0), min_size=1, max_size=6
-                ),
-            ),
-            min_size=2,
-            max_size=8,
-        ),
-        num_shards=st.integers(min_value=1, max_value=5),
-    )
-    def test_any_shard_split_streams_to_the_batch_digest(
-        self, tmp_path_factory, jobs, num_shards
-    ):
-        """Replay property: spec streaming == batch replay for any split."""
-        from repro.workload.traces import TraceJob
-
-        trace = []
-        arrival = 0.0
-        for index, (gap, durations) in enumerate(jobs):
-            arrival += gap
-            trace.append(
-                TraceJob(
-                    job_id=index + 1,
-                    arrival_time=arrival,
-                    task_durations=list(durations),
-                )
-            )
-        path = tmp_path_factory.mktemp("specs") / "trace.jsonl"
-        save_trace(trace, path)
-        config = TraceReplayConfig(seed=3)
-        scale = ExperimentScale(
-            num_jobs=len(trace), size_scale=1.0, max_tasks_per_job=None,
-            num_machines=20, seeds=(1,), warmup_jobs=0,
-        )
-        batch = replay(
-            ["late"], trace, replay_config=config, scale=scale, shards=num_shards
-        )
-        streamed = replay_stream(
-            ["late"], path, replay_config=config, scale=scale,
-            shards=num_shards, stream_specs=True,
-        )
-        assert metrics_digest(streamed.comparison) == metrics_digest(batch)
-        assert streamed.peak_resident_shards == 0

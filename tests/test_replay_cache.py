@@ -9,7 +9,7 @@ Four layers, tested bottom-up:
 * concurrency — two real processes storing the same content-addressed key
   race to a single valid entry (atomic tmp + ``os.replace``);
 * the runner — a warm cache reproduces the cold run's digest byte-for-byte
-  across every (workers, mode, sink) combination with zero misses, for both
+  across every (workers, sink) combination with zero misses, for both
   trace files and generated cluster tiers, and ``probe_plan_cache`` answers
   fully cached plans without simulating;
 * the ``grass-experiments cache`` verb — stats, verify (including a tampered
@@ -106,19 +106,11 @@ def cold(tmp_path_factory, trace_path):
 
 class TestWarmColdParity:
     @pytest.mark.parametrize("sink", ["retain", "aggregate"])
-    @pytest.mark.parametrize("mode", ["batch", "stream", "stream-specs"])
     @pytest.mark.parametrize("workers", [1, 4])
     def test_warm_digest_matches_cold_with_zero_misses(
-        self, cold, trace_path, workers, mode, sink
+        self, cold, trace_path, workers, sink
     ):
-        plan = make_plan(
-            trace_path,
-            cold["cache_dir"],
-            workers=workers,
-            stream=mode == "stream",
-            stream_specs=mode == "stream-specs",
-            sink=sink,
-        )
+        plan = make_plan(trace_path, cold["cache_dir"], workers=workers, sink=sink)
         executed = execute(plan)
         assert executed.digest == cold["digest"]
         assert executed.cache_stats is not None
@@ -131,7 +123,6 @@ class TestWarmColdParity:
             policies=("grass",),
             scale="quick",
             shards=2,
-            stream_specs=True,
             sink="aggregate",
             cache=str(tmp_path / "cache"),
         ).validate()
@@ -147,10 +138,18 @@ class TestWarmColdParity:
         # and freshly simulated slices in one merge.
         execute(make_plan(trace_path, cache_dir, policies=("no-spec",)))
         plain = execute(make_plan(trace_path, tmp_path / "unused"))
-        mixed = execute(make_plan(trace_path, cache_dir))
+        seen = []
+        mixed = execute(
+            make_plan(trace_path, cache_dir),
+            on_metrics=lambda *args: seen.append(args[:3]),
+        )
         assert mixed.digest == plain.digest
         assert mixed.cache_stats.hits > 0
         assert mixed.cache_stats.misses > 0
+        # Restored and fresh slices reach the hook in one merge order.
+        assert seen == [
+            (name, 1, shard) for name in POLICIES for shard in range(SHARDS)
+        ]
 
     def test_probe_answers_fully_cached_plans_without_simulating(
         self, cold, trace_path
@@ -353,7 +352,7 @@ from repro.experiments.runner import execute
 
 for fields in (
     {"trace": sys.argv[1]},
-    {"cluster_jobs": 6, "stream_specs": True, "sink": "aggregate"},
+    {"cluster_jobs": 6, "sink": "aggregate"},
 ):
     execute(ReplayPlan(policies=PLAN_POLICIES, scale="quick", **fields))
 print(json.dumps(sorted(
@@ -433,6 +432,21 @@ class TestScanRecords:
             with pytest.raises(TraceFormatError):
                 execute(make_plan(bad, cache_dir))
             assert not list(cache_dir.glob(f"{SCAN_DIR}/*"))
+
+    def test_unsorted_trace_is_refused_even_with_a_stored_record(
+        self, tmp_path
+    ):
+        unsorted = tmp_path / "unsorted.jsonl"
+        unsorted.write_text(
+            '{"job_id": 1, "arrival_time": 5.0, "task_durations": [1.0]}\n'
+            '{"job_id": 2, "arrival_time": 1.0, "task_durations": [1.0]}\n'
+        )
+        cache_dir = tmp_path / "cache"
+        for _ in range(2):  # the second run finds the scan record
+            with pytest.raises(TraceFormatError, match="unsorted.jsonl.*sorted by"):
+                execute(make_plan(unsorted, cache_dir))
+        assert list(cache_dir.glob(f"{SCAN_DIR}/*"))
+        assert not list(cache_dir.glob("??/*.json"))
 
     def test_cache_clear_removes_scan_records(self, trace_path, tmp_path, capsys):
         cache_dir = tmp_path / "cache"

@@ -1,8 +1,7 @@
 """The unified ReplayPlan API: round-trip, validation, CLI generation, parity.
 
-The plan is the PR-8 API collapse: one dataclass replaces the
-``replay()`` / ``replay_stream()`` / ``stream_specs=`` / ``sink=`` call
-zoo.  These tests pin its three contracts:
+One dataclass describes one replay end to end.  These tests pin its
+contracts:
 
 * a plan survives the JSON wire format byte-for-byte (the service depends
   on this — a submitted plan must be *the same experiment* offline);
@@ -10,12 +9,11 @@ zoo.  These tests pin its three contracts:
   message names both the CLI flags and the plan fields;
 * the ``replay`` CLI flags are generated from the plan's field metadata,
   so the parser's surface and defaults cannot drift from the dataclass;
-* ``execute(plan)`` is digest-identical to the deprecated entry points it
-  replaced, across the mode × workers × sink matrix.
+* ``execute(plan)`` is digest-identical to the materialised reference
+  replay, across the workers × sink matrix.
 """
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -27,18 +25,13 @@ from repro.experiments.plan import (
     plan_cli_fields,
     plan_from_args,
 )
-from repro.experiments.runner import (
-    ExperimentScale,
-    execute,
-    plan_scale,
-    replay,
-    replay_stream,
-)
-from repro.simulator.sinks import parse_sink_spec
-from repro.workload.trace_replay import TraceReplayConfig, export_trace
+from repro.experiments.runner import execute, metrics_digest, plan_scale
+from repro.workload.trace_replay import TraceReplayConfig, export_trace, iter_cluster_trace
+from repro.workload.traces import ClusterTierConfig, load_trace
+
+from tests.reference_replay import reference_replay
 
 import argparse
-from dataclasses import replace
 
 
 @pytest.fixture(scope="module")
@@ -61,8 +54,6 @@ class TestWireRoundTrip:
             seeds=(3, 1, 4),
             workers=0,
             shards=16,
-            stream_specs=True,
-            max_resident_shards=5,
             sink="jsonl:out/rows",
             framework="spark",
             bound_kind="deadline",
@@ -83,6 +74,15 @@ class TestWireRoundTrip:
         with pytest.raises(PlanError, match="unknown plan field: bogus"):
             ReplayPlan.from_wire({"trace": "t.jsonl", "bogus": 1})
 
+    def test_wire_plans_with_removed_mode_fields_name_them(self):
+        wire = {"trace": "t.jsonl", "stream": True, "stream_specs": False,
+                "max_resident_shards": 2}
+        with pytest.raises(
+            PlanError,
+            match="unknown plan fields: max_resident_shards, stream, stream_specs",
+        ):
+            ReplayPlan.from_wire(wire)
+
     def test_non_object_payloads_are_rejected(self):
         with pytest.raises(PlanError, match="JSON object"):
             ReplayPlan.from_wire(["not", "a", "dict"])
@@ -101,16 +101,8 @@ class TestValidation:
             ({}, "exactly one of --trace PATH or --cluster-jobs N"),
             ({"trace": "t", "cluster_jobs": 5}, "exactly one of --trace"),
             ({"cluster_jobs": 0}, "--cluster-jobs must be >= 1"),
-            (
-                {"trace": "t", "stream": True, "stream_specs": True},
-                "at most one of --stream / --stream-specs",
-            ),
             ({"trace": "t", "workers": -1}, "--workers must be >= 0"),
             ({"trace": "t", "shards": 0}, "--shards must be >= 1"),
-            (
-                {"trace": "t", "max_resident_shards": 0},
-                "--max-resident-shards must be >= 1",
-            ),
             ({"trace": "t", "policies": ()}, "at least one policy"),
             ({"trace": "t", "policies": ("nope",)}, "unknown policy nope"),
             ({"trace": "t", "scale": "galactic"}, "unknown scale 'galactic'"),
@@ -123,13 +115,6 @@ class TestValidation:
     def test_each_conflict_raises_one_named_error(self, fields, message):
         with pytest.raises(PlanError, match=message):
             ReplayPlan(**fields).validate()
-
-    def test_mode_property_tracks_stream_flags(self):
-        assert ReplayPlan(trace="t").mode == "batch"
-        assert ReplayPlan(trace="t", stream=True).mode == "stream"
-        assert ReplayPlan(trace="t", stream_specs=True).mode == "stream-specs"
-        assert not ReplayPlan(trace="t").streaming
-        assert ReplayPlan(trace="t", stream=True).streaming
 
 
 class TestGeneratedCli:
@@ -152,7 +137,7 @@ class TestGeneratedCli:
             [
                 "--cluster-jobs", "500", "--policy", "late", "--policy", "gs",
                 "--scale", "quick", "--seeds", "5", "6", "--workers", "3",
-                "--shards", "4", "--stream-specs", "--sink", "aggregate",
+                "--shards", "4", "--sink", "aggregate",
                 "--framework", "spark", "--bound-kind", "error", "--seed", "9",
             ]
         )
@@ -164,12 +149,17 @@ class TestGeneratedCli:
             seeds=(5, 6),
             workers=3,
             shards=4,
-            stream_specs=True,
             sink="aggregate",
             framework="spark",
             bound_kind="error",
             seed=9,
         )
+
+    def test_removed_mode_flags_are_unknown(self, capsys):
+        for flag in ("--stream", "--stream-specs", "--max-resident-shards"):
+            with pytest.raises(SystemExit):
+                build_replay_parser().parse_args(["--trace", "t", flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_help_text_comes_from_field_metadata(self):
         parser = build_replay_parser()
@@ -178,60 +168,25 @@ class TestGeneratedCli:
             assert by_dest[spec.name].help == spec.metadata["cli"]["help"]
 
 
-def _legacy_digest(trace_path, plan):
-    """The digest the deprecated entry points produce for the same shape."""
-    scale = plan_scale(plan)
+def _reference_digest(plan, trace):
+    """The digest of the materialised reference replay of the same plan."""
     config = TraceReplayConfig(
         framework=plan.framework, bound_kind=plan.bound_kind, seed=plan.seed
     )
-    sink = parse_sink_spec(plan.sink)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        if plan.streaming:
-            streamed = replay_stream(
-                plan.policies,
-                trace_path,
-                replay_config=config,
-                scale=scale,
-                shards=plan.shards,
-                workers=plan.workers,
-                max_resident_shards=plan.max_resident_shards,
-                stream_specs=plan.stream_specs,
-                sink=sink,
-            )
-            comparison = streamed.comparison
-        else:
-            from repro.workload.traces import load_trace
-
-            comparison = replay(
-                plan.policies,
-                load_trace(trace_path),
-                replay_config=config,
-                scale=scale,
-                shards=plan.shards,
-                workers=plan.workers,
-                sink=sink,
-            )
-    from repro.experiments.runner import metrics_digest
-
-    return metrics_digest(comparison)
+    return metrics_digest(
+        reference_replay(
+            plan.policies, trace, replay_config=config, scale=plan_scale(plan),
+            shards=plan.shards,
+        )
+    )
 
 
 class TestExecuteParity:
-    """execute(plan) == the deprecated API it replaced, digest for digest."""
+    """execute(plan) == the materialised reference, digest for digest."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize(
-        "mode_fields",
-        [
-            {},
-            {"sink": "aggregate"},
-            {"stream": True},
-            {"stream_specs": True, "sink": "aggregate"},
-        ],
-        ids=["batch", "batch-aggregate", "stream", "stream-specs-aggregate"],
-    )
-    def test_digest_matches_legacy_across_matrix(self, trace_path, workers, mode_fields):
+    @pytest.mark.parametrize("sink", ["retain", "aggregate"])
+    def test_digest_matches_the_reference_across_matrix(self, trace_path, workers, sink):
         plan = ReplayPlan(
             trace=trace_path,
             policies=("late",),
@@ -239,139 +194,37 @@ class TestExecuteParity:
             seeds=(1,),
             workers=workers,
             shards=3,
-            **mode_fields,
+            sink=sink,
         )
         executed = execute(plan)
-        assert executed.digest == _legacy_digest(trace_path, plan)
+        assert executed.digest == _reference_digest(plan, load_trace(trace_path))
         assert executed.num_jobs == 18
         assert executed.num_shards == 3
-        assert (executed.streamed is not None) == plan.streaming
+        assert 1 <= executed.peak_resident_jobs <= 18
 
-    def test_all_modes_agree_with_each_other(self, trace_path):
-        base = dict(
-            trace=trace_path, policies=("late",), scale="quick", seeds=(1,), shards=3
+    def test_cluster_tier_plan_matches_the_reference(self):
+        plan = ReplayPlan(
+            cluster_jobs=30, policies=("late",), scale="quick", seeds=(1,), shards=2,
+            sink="aggregate",
         )
-        digests = {
-            execute(ReplayPlan(**base)).digest,
-            execute(ReplayPlan(stream=True, **base)).digest,
-            execute(ReplayPlan(stream_specs=True, sink="aggregate", **base)).digest,
-        }
-        assert len(digests) == 1
+        executed = execute(plan)
+        tier = list(iter_cluster_trace(ClusterTierConfig(num_jobs=30, seed=0)))
+        assert executed.digest == _reference_digest(plan, tier)
+        assert executed.num_jobs == 30
 
-    def test_cluster_tier_plan_executes_in_batch_and_stream(self):
-        base = dict(
-            cluster_jobs=30, policies=("late",), scale="quick", seeds=(1,), shards=2
-        )
-        batch = execute(ReplayPlan(**base))
-        streamed = execute(ReplayPlan(stream_specs=True, sink="aggregate", **base))
-        assert batch.digest == streamed.digest
-        assert batch.num_jobs == 30
-
-    def test_on_metrics_hook_sees_every_simulation(self, trace_path):
+    def test_on_metrics_hook_sees_every_simulation_in_merge_order(self, trace_path):
         plan = ReplayPlan(
             trace=trace_path, policies=("late", "gs"), scale="quick",
-            seeds=(1,), shards=2,
+            seeds=(1,), shards=2, workers=2,
         )
         seen = []
         execute(plan, on_metrics=lambda *coords: seen.append(coords[:3]))
-        assert sorted(seen) == sorted(
+        assert seen == [
             (policy, 1, shard) for policy in ("late", "gs") for shard in range(2)
-        )
+        ]
 
     def test_empty_trace_is_a_plan_error(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         with pytest.raises(PlanError, match="trace is empty"):
             execute(ReplayPlan(trace=str(empty)))
-
-
-class TestDeprecationShims:
-    def test_replay_warns_once_per_call(self, trace_path):
-        from repro.workload.traces import load_trace
-
-        tiny = replace(ExperimentScale.quick(), seeds=(1,))
-        with pytest.warns(DeprecationWarning, match="ReplayPlan"):
-            replay(["late"], load_trace(trace_path), scale=tiny)
-
-    def test_replay_stream_warns_once_per_call(self, trace_path):
-        tiny = replace(ExperimentScale.quick(), seeds=(1,))
-        with pytest.warns(DeprecationWarning, match="ReplayPlan"):
-            replay_stream(["late"], trace_path, scale=tiny)
-
-
-class TestDeprecationWindow:
-    """Locks PR 8's deprecation window until the announced removal release.
-
-    The shims survive exactly one release, but "survive" means more than
-    "importable": until they are dropped, ``replay()``/``replay_stream()``
-    must BOTH still emit :class:`DeprecationWarning` (so callers keep
-    getting told to migrate) AND forward to byte-identical digests (so a
-    not-yet-migrated pipeline cannot silently change results).  Breaking
-    either half without touching this test is impossible.
-    """
-
-    def _plan(self, trace_path, **overrides):
-        fields = dict(
-            trace=trace_path, policies=("late",), scale="quick",
-            seeds=(1,), shards=2,
-        )
-        fields.update(overrides)
-        return ReplayPlan(**fields)
-
-    def test_replay_shim_warns_and_forwards_byte_identical(self, trace_path):
-        from repro.workload.traces import load_trace
-
-        plan = self._plan(trace_path)
-        expected = execute(plan).digest
-        with pytest.warns(DeprecationWarning, match="ReplayPlan"):
-            comparison = replay(
-                list(plan.policies),
-                load_trace(trace_path),
-                replay_config=TraceReplayConfig(
-                    framework=plan.framework,
-                    bound_kind=plan.bound_kind,
-                    seed=plan.seed,
-                ),
-                scale=plan_scale(plan),
-                shards=plan.shards,
-            )
-        from repro.experiments.runner import metrics_digest
-
-        assert metrics_digest(comparison) == expected
-
-    def test_replay_stream_shim_warns_and_forwards_byte_identical(
-        self, trace_path
-    ):
-        plan = self._plan(trace_path, stream=True)
-        expected = execute(plan).digest
-        with pytest.warns(DeprecationWarning, match="ReplayPlan"):
-            streamed = replay_stream(
-                list(plan.policies),
-                trace_path,
-                replay_config=TraceReplayConfig(
-                    framework=plan.framework,
-                    bound_kind=plan.bound_kind,
-                    seed=plan.seed,
-                ),
-                scale=plan_scale(plan),
-                shards=plan.shards,
-            )
-        from repro.experiments.runner import metrics_digest
-
-        assert metrics_digest(streamed.comparison) == expected
-
-    def test_warning_is_deprecation_not_future(self, trace_path):
-        # The category matters: DeprecationWarning is silenced for end
-        # users but loud under pytest, exactly the window's contract.
-        from repro.workload.traces import load_trace
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            replay(
-                ["late"],
-                load_trace(trace_path),
-                scale=replace(ExperimentScale.quick(), seeds=(1,)),
-            )
-        categories = {type(w.message) for w in caught
-                      if issubclass(type(w.message), DeprecationWarning)}
-        assert categories == {DeprecationWarning}

@@ -4,8 +4,7 @@ The load-bearing properties:
 
 * **Sink transparency** — an ``AggregateSink`` replay produces aggregates
   and a metrics digest *equal* to the ``RetainAllSink`` path for any shard
-  split, worker count and streaming mode, while retaining zero
-  ``JobResult`` objects.
+  split and worker count, while retaining zero ``JobResult`` objects.
 * **Exact mergeability** — ``StreamingAggregates.merge`` is chunk-list
   concatenation, hence exactly associative over shard orderings.
 * **Loud degradation** — touching raw results on an aggregate-only
@@ -23,7 +22,7 @@ from repro.baselines import NoSpeculationPolicy
 from repro.core.bounds import ApproximationBound
 from repro.core.job import JobResult
 from repro.experiments.cli import main, metrics_digest
-from repro.experiments.runner import ExperimentScale, compare_policies, replay, replay_stream
+from repro.experiments.runner import ExperimentScale, compare_policies
 from repro.simulator.engine import Simulation
 from repro.simulator.metrics import MetricsCollector
 from repro.simulator.sinks import (
@@ -41,6 +40,7 @@ from repro.workload.trace_replay import TraceReplayConfig, synthesize_trace
 from repro.workload.traces import TraceJob, save_trace
 
 from tests.conftest import make_simulation_config
+from tests.reference_replay import pipeline_replay, reference_replay
 
 TINY = ExperimentScale(
     num_jobs=8, size_scale=0.1, max_tasks_per_job=60, num_machines=40,
@@ -188,11 +188,11 @@ class TestJsonlSpill:
         )
         spill_dir = tmp_path / "spill"
         factory = SinkFactory(kind="jsonl", jsonl_dir=str(spill_dir))
-        spilled = replay(
-            ["late"], trace, replay_config=TraceReplayConfig(seed=11),
+        spilled = pipeline_replay(
+            ["late"], trace, tmp_path, replay_config=TraceReplayConfig(seed=11),
             scale=TINY, shards=2, sink=factory,
         )
-        retained = replay(
+        retained = reference_replay(
             ["late"], trace, replay_config=TraceReplayConfig(seed=11),
             scale=TINY, shards=2,
         )
@@ -309,17 +309,16 @@ class TestSinkEquivalenceProperty:
         jobs=_jobs_strategy,
         num_shards=st.integers(min_value=1, max_value=4),
         workers=st.sampled_from([1, 4]),
-        mode=st.sampled_from(["batch", "stream", "stream-specs"]),
     )
-    def test_aggregate_sink_equals_retain_for_any_pipeline(
-        self, tmp_path_factory, jobs, num_shards, workers, mode
+    def test_aggregate_sink_equals_retain_for_any_split(
+        self, tmp_path_factory, jobs, num_shards, workers
     ):
-        """AggregateSink == RetainAllSink for any shard split / workers / mode.
+        """AggregateSink == RetainAllSink for any shard split / workers.
 
         The aggregates are *equal* (strict dataclass equality — same chunk
         partition, same counts, stats and rolling digests) and the printed
-        digest is byte-identical, while the aggregate path retains zero
-        JobResults.
+        digest is byte-identical — to the materialised reference's too —
+        while the aggregate path retains zero JobResults.
         """
         trace = []
         arrival = 0.0
@@ -332,8 +331,7 @@ class TestSinkEquivalenceProperty:
                     task_durations=list(durations),
                 )
             )
-        path = tmp_path_factory.mktemp("sinkprop") / "trace.jsonl"
-        save_trace(trace, path)
+        directory = tmp_path_factory.mktemp("sinkprop")
         config = TraceReplayConfig(seed=3)
         scale = ExperimentScale(
             num_jobs=len(trace), size_scale=1.0, max_tasks_per_job=None,
@@ -341,21 +339,19 @@ class TestSinkEquivalenceProperty:
         )
 
         def run(sink_factory):
-            if mode == "batch":
-                return replay(
-                    ["late"], trace, replay_config=config, scale=scale,
-                    shards=num_shards, workers=workers, sink=sink_factory,
-                )
-            return replay_stream(
-                ["late"], path, replay_config=config, scale=scale,
-                shards=num_shards, workers=workers,
-                stream_specs=(mode == "stream-specs"), sink=sink_factory,
-            ).comparison
+            return pipeline_replay(
+                ["late"], trace, directory, replay_config=config, scale=scale,
+                shards=num_shards, workers=workers, sink=sink_factory,
+            )
 
         retained = run(SinkFactory(kind="retain"))
         folded = run(SinkFactory(kind="aggregate"))
+        reference = reference_replay(
+            ["late"], trace, replay_config=config, scale=scale, shards=num_shards
+        )
         assert folded.runs["late"].aggregates == retained.runs["late"].aggregates
         assert metrics_digest(folded) == metrics_digest(retained)
+        assert metrics_digest(retained) == metrics_digest(reference)
         assert folded.runs["late"].results == []
         assert all(
             not metrics.retains_results for metrics in folded.runs["late"].metrics
@@ -415,21 +411,6 @@ class TestCompareAndCli:
             table = [line for line in out.splitlines() if line.startswith(("grass", "late"))]
             outputs[sink] = (digest, table)
         assert outputs["retain"] == outputs["aggregate"]
-
-    def test_cli_stream_specs_aggregate_matches_batch_retain(self, tmp_path, capsys):
-        trace = synthesize_trace(
-            num_jobs=10, size_scale=0.1, max_tasks_per_job=40, seed=13
-        )
-        path = tmp_path / "trace.jsonl"
-        save_trace(trace, path)
-        batch = self._cli_replay(capsys, path)
-        streamed = self._cli_replay(
-            capsys, path, "--stream-specs", "--sink", "aggregate"
-        )
-        digest = lambda out: next(  # noqa: E731
-            line for line in out.splitlines() if line.startswith("metrics digest")
-        )
-        assert digest(batch) == digest(streamed)
 
     def test_cli_rejects_unknown_sink(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"

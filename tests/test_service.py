@@ -45,7 +45,6 @@ def tiny_plan(**overrides):
         scale="quick",
         seeds=(1,),
         shards=2,
-        stream_specs=True,
         sink="aggregate",
     )
     fields.update(overrides)
@@ -255,8 +254,8 @@ class TestServiceEndToEnd:
         assert outcome.first_delta_seconds is not None
         assert outcome.first_delta_seconds <= outcome.total_seconds
 
-    def test_batch_plans_also_stream_deltas(self):
-        plan = tiny_plan(stream_specs=False, sink="retain")
+    def test_retaining_sink_plans_also_stream_deltas(self):
+        plan = tiny_plan(sink="retain")
         offline = execute(plan).digest
 
         async def scenario(service, host, port):
@@ -306,6 +305,22 @@ class TestServiceEndToEnd:
                         ReplayPlan(trace="/nonexistent/trace.jsonl"), tenant="t0"
                     )
                 # The connection (and the service) survive the failure.
+                await client.ping()
+            assert service.failed_plans == 1
+
+        run_service(scenario)
+
+    def test_unsorted_trace_is_an_in_band_error_frame(self, tmp_path):
+        path = tmp_path / "unsorted.jsonl"
+        path.write_text(
+            '{"job_id": 1, "arrival_time": 5.0, "task_durations": [1.0]}\n'
+            '{"job_id": 2, "arrival_time": 1.0, "task_durations": [1.0]}\n'
+        )
+
+        async def scenario(service, host, port):
+            async with ReplayServiceClient(host, port) as client:
+                with pytest.raises(ServiceError, match=r"sorted by \(arrival_time, job_id\)"):
+                    await client.run_plan(ReplayPlan(trace=str(path)), tenant="t0")
                 await client.ping()
             assert service.failed_plans == 1
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.experiments.cli import main, metrics_digest
 from repro.experiments.figures import FIGURES
-from repro.experiments.runner import ExperimentScale, replay
+from repro.experiments.runner import ExperimentScale
 from repro.workload.trace_replay import (
     TraceReplayConfig,
     export_trace,
@@ -27,6 +27,8 @@ from repro.workload.traces import (
     load_trace,
     save_trace,
 )
+
+from tests.reference_replay import pipeline_replay, reference_replay
 
 #: Small cluster scale so replay tests stay fast; the trace supplies the jobs.
 TINY = ExperimentScale(
@@ -222,11 +224,12 @@ class TestSliceTrace:
 
 class TestReplayDeterminism:
     def test_workers_1_and_4_byte_identical(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        save_trace(tiny_trace(), path)
-        trace = load_trace(path)
-        serial = replay(["late", "gs"], trace, scale=TINY, workers=1)
-        fanned = replay(["late", "gs"], trace, scale=TINY, workers=4)
+        trace = tiny_trace()
+        serial = pipeline_replay(["late", "gs"], trace, tmp_path, scale=TINY, workers=1)
+        fanned = pipeline_replay(["late", "gs"], trace, tmp_path, scale=TINY, workers=4)
+        assert metrics_digest(serial) == metrics_digest(
+            reference_replay(["late", "gs"], trace, scale=TINY)
+        )
         for name in ("late", "gs"):
             serial_metrics = serial.runs[name].metrics
             fanned_metrics = fanned.runs[name].metrics
@@ -235,26 +238,29 @@ class TestReplayDeterminism:
                 assert pickle.dumps(left) == pickle.dumps(right)
         assert metrics_digest(serial) == metrics_digest(fanned)
 
-    def test_sharded_replay_covers_every_job(self):
+    def test_sharded_replay_covers_every_job(self, tmp_path):
         trace = tiny_trace()
-        sharded = replay(["late"], trace, scale=TINY, shards=3, workers=2)
+        sharded = pipeline_replay(["late"], trace, tmp_path, scale=TINY, shards=3, workers=2)
         assert sorted(r.job_id for r in sharded.runs["late"].results) == sorted(
             job.job_id for job in trace
         )
 
-    def test_sharded_replay_deterministic_across_workers(self):
+    def test_sharded_replay_deterministic_across_workers(self, tmp_path):
         trace = tiny_trace()
-        serial = replay(["late"], trace, scale=TINY, shards=3, workers=1)
-        fanned = replay(["late"], trace, scale=TINY, shards=3, workers=4)
+        serial = pipeline_replay(["late"], trace, tmp_path, scale=TINY, shards=3, workers=1)
+        fanned = pipeline_replay(["late"], trace, tmp_path, scale=TINY, shards=3, workers=4)
         assert metrics_digest(serial) == metrics_digest(fanned)
+        assert metrics_digest(serial) == metrics_digest(
+            reference_replay(["late"], trace, scale=TINY, shards=3)
+        )
 
-    def test_replay_rejects_bad_shards(self):
+    def test_replay_rejects_bad_shards(self, tmp_path):
         with pytest.raises(ValueError):
-            replay(["late"], tiny_trace(num_jobs=2), scale=TINY, shards=0)
+            pipeline_replay(["late"], tiny_trace(num_jobs=2), tmp_path, scale=TINY, shards=0)
 
-    def test_comparison_supports_bin_breakdowns(self):
+    def test_comparison_supports_bin_breakdowns(self, tmp_path):
         trace = tiny_trace()
-        comparison = replay(["late", "gs"], trace, scale=TINY)
+        comparison = pipeline_replay(["late", "gs"], trace, tmp_path, scale=TINY)
         # Metadata for every replayed job is available for figure groupings.
         for result in comparison.runs["late"].results:
             metadata = comparison.workload.metadata_for(result.job_id)
@@ -282,6 +288,7 @@ class TestReplayCli:
         )
         assert exit_code == 0
         assert "metrics digest: sha256=" in captured.out
+        assert "peak resident jobs: " in captured.out
 
     def test_digest_identical_across_worker_counts(self, tmp_path, capsys):
         path = self.fixture_path(tmp_path)
@@ -313,6 +320,19 @@ class TestReplayCli:
         exit_code, captured = self.run_cli(capsys, "replay", "--trace", str(path))
         assert exit_code == 2
         assert "malformed trace" in captured.err
+
+    def test_unsorted_trace_is_a_one_line_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "unsorted.jsonl"
+        path.write_text(
+            '{"job_id": 1, "arrival_time": 5.0, "task_durations": [1.0]}\n'
+            '{"job_id": 2, "arrival_time": 1.0, "task_durations": [1.0]}\n'
+        )
+        exit_code, captured = self.run_cli(capsys, "replay", "--trace", str(path))
+        assert exit_code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert "unsorted.jsonl" in line
+        assert "sorted by (arrival_time, job_id)" in line
 
     def test_bad_worker_and_shard_counts_rejected(self, tmp_path, capsys):
         path = self.fixture_path(tmp_path)
