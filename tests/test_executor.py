@@ -25,6 +25,14 @@ from repro.experiments.runner import (
     compare_policies,
 )
 from repro.workload.synthetic import WorkloadConfig, generate_workload
+from repro.workload.trace_replay import (
+    TraceReplayConfig,
+    TraceSpecSource,
+    slice_trace,
+    synthesize_trace,
+    trace_to_workload,
+)
+from repro.workload.traces import save_trace
 
 TINY = ExperimentScale(
     num_jobs=8, size_scale=0.1, max_tasks_per_job=60, num_machines=40,
@@ -168,6 +176,48 @@ class TestWorkerErrorSurfacing:
         request = RunRequest(workload=workload, config=config, policy_name="late")
         text = repr(request)
         assert text == f"RunRequest(policy=late, jobs={len(workload.job_specs)}, seed=3, warm=none)"
+
+
+class TestSpecSourceRequests:
+    """Requests carrying a lazy spec source fan out like materialised ones."""
+
+    def _requests(self, tmp_path, lazy: bool):
+        trace = synthesize_trace(num_jobs=9, size_scale=0.1, max_tasks_per_job=40, seed=4)
+        path = tmp_path / "trace.jsonl"
+        save_trace(trace, path)
+        replay_config = TraceReplayConfig(seed=1)
+        full = trace_to_workload(trace, replay_config)
+        requests = []
+        for index, shard in enumerate(slice_trace(trace, 3)):
+            if lazy:
+                job_source = {"spec_source": TraceSpecSource(
+                    trace_path=str(path), replay_config=replay_config,
+                    shard_index=index, num_shards=3, total_jobs=len(trace),
+                )}
+            else:
+                job_source = {"workload": trace_to_workload(
+                    shard, replay_config, stragglers=full.stragglers
+                ).workload}
+            for name in ("late", "gs"):
+                requests.append(RunRequest(
+                    config=build_simulation_config(full.workload, TINY, 1, False),
+                    policy_name=name, **job_source,
+                ))
+        return requests
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_lazy_requests_match_materialised_requests(self, tmp_path, workers):
+        lazy = ParallelExecutor(workers=workers).run(self._requests(tmp_path, lazy=True))
+        eager = ParallelExecutor(workers=1).run(self._requests(tmp_path, lazy=False))
+        assert len(lazy) == len(eager) == 6
+        for lazy_metrics, eager_metrics in zip(lazy, eager):
+            assert pickle.dumps(lazy_metrics) == pickle.dumps(eager_metrics)
+
+    def test_worker_failure_names_the_shard(self, tmp_path):
+        requests = self._requests(tmp_path, lazy=True)
+        (tmp_path / "trace.jsonl").unlink()
+        with pytest.raises(RequestExecutionError, match=r"trace-shard\[1/3\] of trace.jsonl"):
+            ParallelExecutor(workers=2).run(requests)
 
 
 class TestPoolDispatch:

@@ -277,6 +277,27 @@ class TestDuplicateIdGuard:
         assert "duplicate job_id 1" in captured.err
 
 
+    def test_cached_replay_rejects_duplicate_ids_before_simulating(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments import simulate
+        from repro.experiments.plan import ReplayPlan
+        from repro.experiments.runner import execute
+
+        path = self.duplicate_trace(tmp_path)
+        monkeypatch.setattr(
+            simulate.ParallelExecutor, "run",
+            lambda self, requests: pytest.fail("simulated a duplicate-id trace"),
+        )
+        plan = ReplayPlan(
+            trace=str(path), policies=("late",), scale="quick", sink="aggregate",
+            cache=str(tmp_path / "cache"),
+        )
+        for _ in range(2):  # no scan record is ever written for a bad trace
+            with pytest.raises(TraceFormatError, match="duplicate job_id 1"):
+                execute(plan)
+
+
 # ----------------------------------------------------------------------- CLI
 
 

@@ -132,6 +132,23 @@ class TestWarmColdParity:
         assert warm_executed.cache_stats.misses == 0
         assert warm_executed.cache_stats.hits == cold_executed.cache_stats.stores
 
+    @pytest.mark.parametrize("sink", ["retain", "aggregate"])
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_warm_cluster_tier_matches_cold_for_any_workers_and_sink(
+        self, tmp_path, workers, sink
+    ):
+        fields = dict(
+            cluster_jobs=8, policies=("late", "grass"), scale="quick", shards=2,
+            cache=str(tmp_path / "cache"),
+        )
+        cold_executed = execute(ReplayPlan(**fields).validate())
+        warm_executed = execute(
+            ReplayPlan(workers=workers, sink=sink, **fields).validate()
+        )
+        assert warm_executed.digest == cold_executed.digest
+        assert warm_executed.cache_stats.misses == 0
+        assert warm_executed.cache_stats.hits == cold_executed.cache_stats.stores
+
     def test_partial_hits_fold_into_the_same_digest(self, trace_path, tmp_path):
         cache_dir = tmp_path / "cache"
         # Prime only one policy; the two-policy plan then mixes restored

@@ -16,9 +16,17 @@ from hypothesis import strategies as st
 from repro.experiments import simulate
 from repro.experiments.cli import metrics_digest
 from repro.experiments.plan import ReplayPlan
-from repro.experiments.runner import ExperimentScale, execute, replay_source
+from repro.experiments.runner import ExperimentScale, _CacheSession, execute, replay_source
 from repro.workload import trace_replay, traces
-from repro.workload.trace_replay import TraceReplayConfig, shard_sizes, synthesize_trace
+from repro.workload.trace_replay import (
+    ClusterTierConfig,
+    TraceReplayConfig,
+    TraceSpecSource,
+    iter_cluster_trace,
+    shard_sizes,
+    slice_trace,
+    synthesize_trace,
+)
 from repro.workload.traces import (
     TraceFormatError,
     TraceJob,
@@ -175,6 +183,123 @@ class TestPipelineMatchesReference:
             replay_source(["late"], path, scale=TINY, shards=0)
 
 
+class TestShardWindows:
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 5, 11, 20])
+    def test_boundaries_match_slice_trace(self, tmp_path, num_shards):
+        """Each lazy shard streams exactly the jobs of the materialised
+        shard; splits finer than the trace collapse to one job per shard,
+        as ``replay_source`` cuts them."""
+        trace = small_trace(num_jobs=11)
+        path = tmp_path / "trace.jsonl"
+        save_trace(trace, path)
+        cut = min(num_shards, len(trace))
+        lazy = [
+            [
+                spec.job_id
+                for spec in TraceSpecSource(
+                    trace_path=str(path), replay_config=TraceReplayConfig(),
+                    shard_index=index, num_shards=cut, total_jobs=len(trace),
+                ).iter_specs()
+            ]
+            for index in range(cut)
+        ]
+        eager = [[job.job_id for job in shard] for shard in slice_trace(trace, num_shards)]
+        assert lazy == eager
+
+    @pytest.mark.parametrize("shards", [1, 3, 6])
+    def test_peak_resident_jobs_never_exceed_a_shard(self, trace_file, shards):
+        path, trace = trace_file
+        executed = execute(ReplayPlan(
+            trace=str(path), policies=("late",), scale="quick", seeds=(1,),
+            shards=shards, workers=2, sink="aggregate",
+        ))
+        assert executed.num_shards == shards
+        assert 1 <= executed.peak_resident_jobs <= max(shard_sizes(len(trace), shards))
+
+    def test_more_shards_than_jobs_collapse_to_one_job_each(self, trace_file):
+        path, trace = trace_file
+        replayed = replay_source(["late"], path, scale=TINY, shards=len(trace) + 5)
+        assert len(replayed.runs["late"].metrics) == len(trace)
+        reference = reference_replay(["late"], trace, scale=TINY, shards=len(trace))
+        assert metrics_digest(replayed) == metrics_digest(reference)
+
+
+class TestClusterTierPipeline:
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_tier_matches_the_reference(self, workers, shards):
+        tier = ClusterTierConfig(num_jobs=40, seed=5)
+        config = TraceReplayConfig(seed=2)
+        replayed = replay_source(
+            ["late", "grass"], tier, replay_config=config, scale=TINY,
+            shards=shards, workers=workers,
+        )
+        reference = reference_replay(
+            ["late", "grass"], list(iter_cluster_trace(tier)), replay_config=config,
+            scale=TINY, shards=shards,
+        )
+        assert metrics_digest(replayed) == metrics_digest(reference)
+        assert pickle.dumps(replayed.workload.metadata) == pickle.dumps(
+            reference.workload.metadata
+        )
+
+
+class TestOneFanOut:
+    """Misses go to the executor in one call; stores follow the merge order."""
+
+    def _partially_cached(self, path, cache_dir):
+        # Prime the middle policy only, so misses sit on both sides of it.
+        fields = dict(
+            trace=str(path), scale="quick", seeds=(1,), shards=2, workers=2,
+            cache=str(cache_dir),
+        )
+        execute(ReplayPlan(policies=("grass",), **fields))
+        return ReplayPlan(policies=("late", "grass", "no-spec"), **fields)
+
+    def test_every_miss_goes_to_one_executor_call(self, trace_file, tmp_path, monkeypatch):
+        path, _ = trace_file
+        plan = self._partially_cached(path, tmp_path / "cache")
+        calls = []
+        run = simulate.ParallelExecutor.run
+
+        def recording_run(self, requests):
+            calls.append([(r.policy_name, r.config.seed, r.spec_source.shard_index)
+                          for r in requests])
+            return run(self, requests)
+
+        monkeypatch.setattr(simulate.ParallelExecutor, "run", recording_run)
+        executed = execute(plan)
+        assert calls == [[("late", 1, 0), ("late", 1, 1), ("no-spec", 1, 0), ("no-spec", 1, 1)]]
+        assert executed.cache_stats.hits == 2
+
+    def test_cache_stores_follow_the_merge_order(self, trace_file, tmp_path, monkeypatch):
+        path, _ = trace_file
+        plan = self._partially_cached(path, tmp_path / "cache")
+        stored = []
+        store = _CacheSession.store
+
+        def recording_store(self, name, seed, shard_index, metrics):
+            stored.append((name, seed, shard_index))
+            return store(self, name, seed, shard_index, metrics)
+
+        monkeypatch.setattr(_CacheSession, "store", recording_store)
+        execute(plan)
+        assert stored == [("late", 1, 0), ("late", 1, 1), ("no-spec", 1, 0), ("no-spec", 1, 1)]
+
+    def test_arrival_ties_must_be_ordered_by_job_id(self, tmp_path, monkeypatch):
+        path = tmp_path / "ties.jsonl"
+        path.write_text(
+            '{"job_id": 2, "arrival_time": 1.0, "task_durations": [1.0]}\n'
+            '{"job_id": 1, "arrival_time": 1.0, "task_durations": [1.0]}\n'
+        )
+        monkeypatch.setattr(
+            simulate.ParallelExecutor, "run",
+            lambda self, requests: pytest.fail("simulated an unsorted trace"),
+        )
+        with pytest.raises(TraceFormatError, match=r"ties.jsonl.*\(arrival_time, job_id\)"):
+            replay_source(["late"], path, scale=TINY)
+
+
 #: Hypothesis strategy for a tiny arrival-sorted trace: a few jobs with a
 #: handful of positive task durations each.
 _jobs_strategy = st.lists(
@@ -229,3 +354,27 @@ class TestPipelineProperty:
                 ["late"], trace, replay_config=config, scale=scale, shards=shards
             )
             assert metrics_digest(replayed) == metrics_digest(reference)
+
+
+class TestClusterTierProperty:
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        num_jobs=st.integers(min_value=1, max_value=25),
+        tier_seed=st.integers(min_value=0, max_value=2**16),
+        num_shards=st.integers(min_value=1, max_value=6),
+    )
+    def test_any_tier_and_split_streams_to_the_reference_digest(
+        self, num_jobs, tier_seed, num_shards
+    ):
+        """A generated tier regenerates each shard's window from its own job
+        indices; the merged result equals the materialised tier's."""
+        tier = ClusterTierConfig(num_jobs=num_jobs, seed=tier_seed)
+        replayed = replay_source(["late"], tier, scale=TINY, shards=num_shards)
+        reference = reference_replay(
+            ["late"], list(iter_cluster_trace(tier)), scale=TINY, shards=num_shards
+        )
+        assert metrics_digest(replayed) == metrics_digest(reference)

@@ -202,6 +202,28 @@ class TestExecuteParity:
         assert executed.num_shards == 3
         assert 1 <= executed.peak_resident_jobs <= 18
 
+    @pytest.mark.parametrize("bound_kind", ["deadline", "error", "exact", "mixed"])
+    @pytest.mark.parametrize("framework", ["hadoop", "spark"])
+    def test_framework_and_bound_reach_every_slice(self, trace_path, framework, bound_kind):
+        plan = ReplayPlan(
+            trace=trace_path, policies=("grass",), scale="quick", seeds=(1,),
+            workers=2, shards=2, framework=framework, bound_kind=bound_kind, seed=4,
+        )
+        assert execute(plan).digest == _reference_digest(plan, load_trace(trace_path))
+
+    def test_every_seed_matches_the_reference(self, trace_path):
+        plan = ReplayPlan(
+            trace=trace_path, policies=("late", "gs"), scale="quick", seeds=(2, 1),
+            workers=2, shards=2, sink="aggregate",
+        )
+        seen = []
+        executed = execute(plan, on_metrics=lambda *coords: seen.append(coords[:3]))
+        assert executed.digest == _reference_digest(plan, load_trace(trace_path))
+        assert seen == [
+            (policy, seed, shard)
+            for policy in ("late", "gs") for seed in (2, 1) for shard in range(2)
+        ]
+
     def test_cluster_tier_plan_matches_the_reference(self):
         plan = ReplayPlan(
             cluster_jobs=30, policies=("late",), scale="quick", seeds=(1,), shards=2,

@@ -297,6 +297,22 @@ class TestServiceEndToEnd:
 
         run_service(scenario)
 
+    def test_wire_plans_with_removed_mode_fields_are_rejected_400(self):
+        wire = tiny_plan().to_wire()
+        wire.update(stream=False, stream_specs=True, max_resident_shards=2)
+
+        async def scenario(service, host, port):
+            async with ReplayServiceClient(host, port) as client:
+                await client._send(protocol.submit_message("t0", wire))
+                reply = await client._receive()
+                assert reply["event"] == "rejected"
+                assert reply["code"] == 400
+                assert "max_resident_shards, stream, stream_specs" in reply["reason"]
+                await client.ping()
+            assert service.rejected_submissions == 0  # never reached admission
+
+        run_service(scenario)
+
     def test_unreadable_trace_is_an_error_event_not_a_crash(self):
         async def scenario(service, host, port):
             async with ReplayServiceClient(host, port) as client:

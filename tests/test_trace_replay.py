@@ -334,6 +334,15 @@ class TestReplayCli:
         assert "unsorted.jsonl" in line
         assert "sorted by (arrival_time, job_id)" in line
 
+    def test_empty_trace_is_a_one_line_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("\n")
+        exit_code, captured = self.run_cli(capsys, "replay", "--trace", str(path))
+        assert exit_code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert "trace is empty" in line
+
     def test_bad_worker_and_shard_counts_rejected(self, tmp_path, capsys):
         path = self.fixture_path(tmp_path)
         assert main(["replay", "--trace", str(path), "--workers", "-1"]) == 2
@@ -366,6 +375,19 @@ class TestReplayCli:
         # "-" instead of a misleading 0.00.
         assert "| 0.00 |" not in row
         assert "-" in row.split("|")[3]
+
+
+def test_trace_replay_figure_leaves_no_temporary_trace(tmp_path, monkeypatch):
+    import tempfile
+
+    from repro.experiments.figures import trace_vs_synthetic
+
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    result = trace_vs_synthetic(TINY)
+    assert len(result.rows) == 4
+    assert list(scratch.iterdir()) == []
 
 
 def test_trace_replay_figure_registered():
