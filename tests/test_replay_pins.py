@@ -8,6 +8,8 @@ here instead of drifting silently:
   scale, 2 shards, seed 0, grass + late + oracle);
 * a generated cluster-tier plan (``--cluster-jobs 200 --shards 3``, gs +
   grass, default scale);
+* the same cluster tier under LATE alone, whose speculation branch (slow
+  tasks, speculative budget) the plans above barely reach;
 * the ``trace-replay`` figure rows at quick scale (``repr`` of every row,
   so floats are compared bit for bit).
 
@@ -19,7 +21,7 @@ print(execute(ReplayPlan(trace='traces/facebook_like.jsonl', scale='quick', \
 shards=2, seed=0, policies=('grass', 'late', 'oracle'))).digest)"
 
 (likewise ``ReplayPlan(cluster_jobs=200, shards=3, policies=('gs',
-'grass'))``) and ``[repr(row) for row in
+'grass'))`` and ``policies=('late',)``) and ``[repr(row) for row in
 trace_vs_synthetic(ExperimentScale.quick()).rows]`` for the figure rows.
 """
 
@@ -39,6 +41,10 @@ REPLAY_DETERMINISM_DIGEST = (
 
 CLUSTER_TIER_DIGEST = (
     "e42304d301302ca297ec82f5ff69a3bd7bb7202c1842d50636db9b69540f2d7f"
+)
+
+LATE_CLUSTER_TIER_DIGEST = (
+    "f5b7b1aabb7a693b42108f8321f77a7d3a3989d387b2a491391fae89a9bcdb36"
 )
 
 TRACE_REPLAY_QUICK_ROWS = [
@@ -67,6 +73,11 @@ def test_replay_determinism_plan_digest_is_pinned():
 def test_cluster_tier_digest_is_pinned():
     plan = ReplayPlan(cluster_jobs=200, shards=3, policies=("gs", "grass"))
     assert execute(plan).digest == CLUSTER_TIER_DIGEST
+
+
+def test_late_cluster_tier_digest_is_pinned():
+    plan = ReplayPlan(cluster_jobs=200, shards=3, policies=("late",))
+    assert execute(plan).digest == LATE_CLUSTER_TIER_DIGEST
 
 
 def test_trace_replay_figure_rows_are_pinned():
