@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo check harness:
-#   ./scripts/check.sh [test|coverage|bench-smoke|bench-gate|replay-determinism|ingest-smoke|service-smoke|cache-smoke|cluster-replay|analyze|lint|all]
+#   ./scripts/check.sh [test|coverage|bench-smoke|bench-gate|replay-determinism|ingest-smoke|service-smoke|cache-smoke|cluster-replay|perfbench-smoke|analyze|lint|all]
 #
 # * test        — the tier-1 suite (PYTHONPATH=src python -m pytest -x -q)
 # * coverage    — the tier-1 suite under pytest-cov with the line-coverage
@@ -55,6 +55,11 @@
 #                 RESIDENCY_MAX_PCT% (default 1) of the tier, and writes a
 #                 summary to CLUSTER_SUMMARY if set (the scheduled CI leg's
 #                 artifact)
+# * perfbench-smoke — perfbench's own tests (perfbench/check_perfbench.py):
+#                 every workload at tiny size, traced and untraced; fails if
+#                 a result line loses a metric, an output stops verifying or
+#                 the tracer no longer finds a method it wraps (the guard
+#                 for engine refactors that rename or move a traced layer)
 # * analyze     — the repo's own determinism & safety linter
 #                 (repro.analysis): AST rules for unseeded RNGs, wall-clock
 #                 reads, unordered iteration, float equality, pickle-unsafe
@@ -406,6 +411,10 @@ run_bench_gate() {
     return "$status"
 }
 
+run_perfbench_smoke() {
+    python -m pytest -q perfbench/check_perfbench.py
+}
+
 run_analyze() {
     # The repo's own static determinism & safety linter (repro.analysis).
     # Stdlib-only, so unlike `lint` it runs identically everywhere — there
@@ -445,6 +454,7 @@ case "${1:-all}" in
     service-smoke) run_service_smoke ;;
     cache-smoke) run_cache_smoke ;;
     cluster-replay) run_cluster_replay ;;
+    perfbench-smoke) run_perfbench_smoke ;;
     analyze) run_analyze ;;
     lint) run_lint ;;
     all)
@@ -455,7 +465,7 @@ case "${1:-all}" in
         echo "all: ok (lint backend: $LINT_BACKEND; analyze: repro.analysis)"
         ;;
     *)
-        echo "usage: $0 [test|coverage|bench-smoke|bench-gate|replay-determinism|ingest-smoke|service-smoke|cache-smoke|cluster-replay|analyze|lint|all]" >&2
+        echo "usage: $0 [test|coverage|bench-smoke|bench-gate|replay-determinism|ingest-smoke|service-smoke|cache-smoke|cluster-replay|perfbench-smoke|analyze|lint|all]" >&2
         exit 2
         ;;
 esac

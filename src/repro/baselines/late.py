@@ -21,10 +21,12 @@ nor prioritises the tasks that contribute earliest to the error bound.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from operator import itemgetter
+from typing import List, Optional, Tuple
 
 from repro.core.policies.base import (
     SchedulingDecision,
+    SchedulingIndex,
     SchedulingView,
     SpeculationPolicy,
     TaskSnapshot,
@@ -32,11 +34,16 @@ from repro.core.policies.base import (
 )
 from repro.utils.stats import percentile
 
+#: The task id of a ``SchedulingIndex.pending_sorted`` entry.
+_TASK_ID = itemgetter(1)
+
 
 class LatePolicy(SpeculationPolicy):
     """The LATE baseline."""
 
     name = "late"
+    # A pure function of the index, the clock and the wave width.
+    stateless_choose = True
 
     def __init__(
         self,
@@ -85,17 +92,78 @@ class LatePolicy(SpeculationPolicy):
         threshold = percentile(rates, self.slow_task_percentile)
         return [snap for snap, rate in eligible if rate <= threshold]
 
-    # -- policy ------------------------------------------------------------------
-
-    def choose_task(self, view: SchedulingView) -> Optional[SchedulingDecision]:
+    def _choose(self, view: SchedulingView) -> Optional[TaskSnapshot]:
         pending = view.pending()
         if pending:
             # Bound-oblivious: plain input order, no pruning, no SJF/LJF.
-            return make_decision(min(pending, key=lambda snap: snap.task_id))
+            return min(pending, key=lambda snap: snap.task_id)
         if self._running_speculative_copies(view) >= self._speculative_budget(view):
             return None
         slow = self._slow_candidates(view)
         if not slow:
             return None
         # Longest approximate time to end: largest estimated remaining time.
-        return make_decision(min(slow, key=lambda snap: (-snap.trem, snap.task_id)))
+        return min(slow, key=lambda snap: (-snap.trem, snap.task_id))
+
+    # -- index-backed selection ---------------------------------------------------
+    #
+    # ``_fast`` makes the list-based choice above without materialising the
+    # snapshot list: the index's pending entries carry their task ids and
+    # ``running_ids`` lists the running tasks in ascending id order, the
+    # order ``view.running()`` yields them.  The list-based path serves
+    # index-less views and is the reference ``_fast`` is tested against.
+
+    def _fast(self, view: SchedulingView, sched: SchedulingIndex) -> Optional[TaskSnapshot]:
+        snaps = sched.snaps
+        pending = sched.pending_sorted
+        if pending:
+            return snaps[min(pending, key=_TASK_ID)[1]]
+        running_ids = sched.running_ids
+        spent = 0
+        for task_id in running_ids:
+            copies = snaps[task_id].copies
+            if copies > 1:
+                spent += copies - 1
+        if spent >= self._speculative_budget(view):
+            return None
+        # ``_slow_candidates`` with ``TaskCopy.elapsed``/``progress_rate``
+        # inlined: a task with one running copy has that copy as its best.
+        now = view.now
+        min_runtime = self.min_runtime_before_speculation
+        eligible: List[Tuple[TaskSnapshot, float]] = []
+        for task_id in running_ids:
+            snap = snaps[task_id]
+            if snap.copies != 1:
+                continue
+            best = snap.task._running[0]
+            elapsed = now - best.start_time
+            if elapsed < 0.0:
+                elapsed = 0.0
+            if elapsed < min_runtime:
+                continue
+            if elapsed <= 0:
+                rate = float("inf")
+            else:
+                progress = elapsed / best.duration
+                if progress > 1.0:
+                    progress = 1.0
+                rate = progress / elapsed
+            eligible.append((snap, rate))
+        if not eligible:
+            return None
+        threshold = percentile([rate for _, rate in eligible], self.slow_task_percentile)
+        chosen: Optional[TaskSnapshot] = None
+        for snap, rate in eligible:
+            # Ascending ids: a strictly larger ``trem`` wins, ties keep the
+            # lower id, as ``min`` over ``(-trem, task_id)`` does.
+            if rate <= threshold and (chosen is None or snap.trem > chosen.trem):
+                chosen = snap
+        return chosen
+
+    # -- policy ------------------------------------------------------------------
+
+    def choose_task(self, view: SchedulingView) -> Optional[SchedulingDecision]:
+        sched = view.sched
+        if sched is not None:
+            return make_decision(self._fast(view, sched))
+        return make_decision(self._choose(view))

@@ -26,6 +26,7 @@ default workload profiles.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -157,7 +158,9 @@ class TaskEstimator:
             return
         estimated = self.tnew(task)
         self.tnew_tracker.record(estimated, actual_duration)
-        self._completed_durations_per_work.append(actual_duration / task.work)
+        # Kept sorted, so the median's sort after each completion is a
+        # linear pass instead of a full sort.
+        insort(self._completed_durations_per_work, actual_duration / task.work)
         self._work_rate_cache = None
 
     def record_trem_outcome(self, estimated: float, actual: float) -> None:
@@ -291,20 +294,29 @@ class TaskEstimator:
         running = task._running
         if not running:
             raise RuntimeError("task has no running copies")
-        best = None
-        best_remaining = float("inf")
-        for copy in running:
-            remaining = copy.start_time + copy.duration - now
-            if remaining < 0.0:
-                remaining = 0.0
-            if remaining < best_remaining:
-                best = copy
-                best_remaining = remaining
+        # The first copy of least remaining time (clamped at zero), as
+        # ``min`` over ``copy.remaining(now)`` picks it; a lone copy skips
+        # the scan.
+        best = running[0]
+        start = best.start_time
+        duration = best.duration
+        best_remaining = start + duration - now
+        if best_remaining < 0.0:
+            best_remaining = 0.0
+        if len(running) > 1:
+            for copy in running[1:]:
+                remaining = copy.start_time + copy.duration - now
+                if remaining < 0.0:
+                    remaining = 0.0
+                if remaining < best_remaining:
+                    best_remaining = remaining
+                    start = copy.start_time
+                    duration = copy.duration
         granularity = config.progress_report_fraction
-        elapsed = now - best.start_time
+        elapsed = now - start
         if elapsed < 0.0:
             elapsed = 0.0
-        progress = elapsed / best.duration
+        progress = elapsed / duration
         if progress > 1.0:
             progress = 1.0
         if progress < granularity:
@@ -377,28 +389,40 @@ class TaskEstimator:
         trem_sigma = config.trem_noise
         trem_cache = self._trem_noise_cache
         trem_cache_get = trem_cache.get
-        draw_noise = self._noise
+        gauss = self._gauss
+        # The tracker's running mean is folded in locals and written back
+        # once: the same float operations in the same order.
         tracker_mean = self.trem_tracker._accuracy
+        count = tracker_mean.count
+        mean = tracker_mean.value
         for task_id in running_ids:
             snap = snaps[task_id]
             task = snap.task
-            spec = task.spec
-            tnew = (rate * spec.work) * tnew_noise
+            tnew = (rate * task.spec.work) * tnew_noise
             if tnew < 1e-6:
                 tnew = 1e-6
-            best = None
-            best_remaining = float("inf")
-            for copy in task._running:
-                remaining = copy.start_time + copy.duration - now
-                if remaining < 0.0:
-                    remaining = 0.0
-                if remaining < best_remaining:
-                    best = copy
-                    best_remaining = remaining
-            elapsed = now - best.start_time
+            # The best copy as in ``snapshot_running``.
+            running = task._running
+            copies = len(running)
+            best = running[0]
+            start = best.start_time
+            duration = best.duration
+            best_remaining = start + duration - now
+            if best_remaining < 0.0:
+                best_remaining = 0.0
+            if copies > 1:
+                for copy in running[1:]:
+                    remaining = copy.start_time + copy.duration - now
+                    if remaining < 0.0:
+                        remaining = 0.0
+                    if remaining < best_remaining:
+                        best_remaining = remaining
+                        start = copy.start_time
+                        duration = copy.duration
+            elapsed = now - start
             if elapsed < 0.0:
                 elapsed = 0.0
-            progress = elapsed / best.duration
+            progress = elapsed / duration
             if progress > 1.0:
                 progress = 1.0
             if progress < granularity:
@@ -415,26 +439,37 @@ class TaskEstimator:
                     # clamp cannot trigger (``base >= 1e-6`` already).
                     trem = base
                 else:
-                    noise_key = (spec.task_id, len(task.copies), int(progress / granularity))
+                    noise_key = (task_id, len(task.copies), int(progress / granularity))
                     noise = trem_cache_get(noise_key)
                     if noise is None:
-                        noise = draw_noise(trem_sigma, trem_cache, noise_key)
+                        # ``_noise`` inlined: same eviction, same draw.
+                        if len(trem_cache) > 4096:
+                            trem_cache.clear()
+                            self.noise_generation += 1
+                        noise = 1.0 + gauss(0.0, trem_sigma)
+                        if noise < 0.2:
+                            noise = 0.2
+                        trem_cache[noise_key] = noise
                     trem = base * noise
                     if trem < 1e-6:
                         trem = 1e-6
             actual = best_remaining if best_remaining > 1e-6 else 1e-6
-            sample = 1.0 - abs(trem - actual) / actual
+            error = trem - actual  # ``abs`` without the call
+            if error < 0.0:
+                error = -error
+            sample = 1.0 - error / actual
             if sample <= 0.0:
                 sample = 0.0
-            count = tracker_mean.count + 1
-            tracker_mean.count = count
-            tracker_mean.value += (sample - tracker_mean.value) / count
+            count += 1
+            mean += (sample - mean) / count
             snap.running = True
-            snap.copies = task._num_running
+            snap.copies = copies
             snap.trem = trem
             snap.tnew = tnew
             snap._actual = actual
             snap._acc = sample
+        tracker_mean.count = count
+        tracker_mean.value = mean
         return samples, gen, rate, tnew_noise
 
     # -- realised accuracy -----------------------------------------------------------

@@ -168,6 +168,9 @@ class Job(TaskObserver):
 
     def __init__(self, spec: JobSpec) -> None:
         self.spec = spec
+        # A plain attribute, not a property over ``spec``: phase checks read
+        # it on every scheduling query.
+        self.dag_length: int = spec.dag_length
         self.state = JobState.WAITING
         self.start_time: Optional[float] = None
         self.finish_time: Optional[float] = None
@@ -246,10 +249,6 @@ class Job(TaskObserver):
     def bound(self) -> ApproximationBound:
         return self.spec.bound
 
-    @property
-    def dag_length(self) -> int:
-        return self.spec.dag_length
-
     # -- lifecycle --------------------------------------------------------------
 
     def start(self, now: float) -> None:
@@ -322,7 +321,7 @@ class Job(TaskObserver):
         bound-determined fraction for the input phase).
         """
         cursor = self._phase_cursor
-        dag_length = self.spec.dag_length
+        dag_length = self.dag_length
         completed = self._completed_by_phase
         required = self._required_by_phase
         while cursor < dag_length and completed[cursor] >= required[cursor]:
@@ -374,7 +373,7 @@ class Job(TaskObserver):
 
     def remaining_required_tasks(self) -> int:
         """Input tasks still needed to satisfy an error bound (0 if met)."""
-        return max(0, self.required_input_tasks() - self.completed_input_tasks())
+        return max(0, self._required_by_phase[0] - self._completed_by_phase[0])
 
     def bound_satisfied(self) -> bool:
         """True when the job's input-phase goal is met.

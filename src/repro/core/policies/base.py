@@ -187,7 +187,7 @@ class SchedulingIndex:
         # ``SpeculationPolicy.stateless_choose``) is a pure function of that
         # state, so the engine can skip the repeat ask — performing only the
         # replay fold the walk is contractually required to emit — until the
-        # state mutates again.
+        # state mutates again or the engine changes the job's allocation.
         self.choice_void = False
 
     def prepare(self, now: float) -> bool:
@@ -197,7 +197,7 @@ class SchedulingIndex:
         """
         job = self.job
         phase = job.current_phase()
-        if phase >= job.spec.dag_length:
+        if phase >= job.dag_length:
             return False
         estimator = self.estimator
         if phase != self.phase:
@@ -455,7 +455,7 @@ class OracleSchedulingIndex(SchedulingIndex):
     def prepare(self, now: float) -> bool:
         job = self.job
         phase = job.current_phase()
-        if phase >= job.spec.dag_length:
+        if phase >= job.dag_length:
             return False
         if phase != self.phase:
             self._rebuild(now, phase)
@@ -631,13 +631,15 @@ class SpeculationPolicy(abc.ABC):
     learns_across_jobs: bool = False
 
     #: True when ``choose_task`` is a pure function of the scheduling index
-    #: state and the bound/deadline/required view fields — no policy-side
-    #: mutation, no dependence on cluster utilisation or accuracy.  The
-    #: engine then caches a None decision for the current index state
-    #: (``SchedulingIndex.choice_void``) and skips the repeat ask, emitting
-    #: only the replay fold the estimation walk is required to produce.
-    #: GRASS must stay False: its ``choose_task`` updates per-job switching
-    #: state from the view's utilisation on every call.
+    #: state, the clock and the bound/deadline/required/``wave_width`` view
+    #: fields — no policy-side mutation, no dependence on cluster
+    #: utilisation or accuracy.  The engine then caches a None decision for
+    #: the current index state (``SchedulingIndex.choice_void``) and skips
+    #: the repeat ask, emitting only the replay fold the estimation walk is
+    #: required to produce; a change of the job's allocation (its
+    #: ``wave_width``) drops the cached decision.  GRASS must stay False:
+    #: its ``choose_task`` updates per-job switching state from the view's
+    #: utilisation on every call.
     stateless_choose: bool = False
 
     def on_job_start(self, job: Job, now: float) -> None:
@@ -784,13 +786,18 @@ def index_error_window(
     ``pending_sorted``) and which running tasks do.  A running task with
     effective-duration key ``k`` has merged rank ``#pending keys < k`` (one
     bisect) plus ``#running keys < k``; ranks are strictly increasing along
-    the sorted running keys, so the scan stops at the first exclusion.
+    the sorted running keys, so the scan stops at the first exclusion.  A
+    window at least as wide as the phase holds every task (the included ids
+    then come in id order; callers pick by unique keys, so order is free).
     """
     pending = sched.pending_sorted
+    running_ids = sched.running_ids
+    if needed >= len(pending) + len(running_ids):
+        return len(pending), running_ids
     snaps = sched.snaps
     keys: List[Tuple[float, int]] = []
     append = keys.append
-    for task_id in sched.running_ids:
+    for task_id in running_ids:
         snap = snaps[task_id]
         trem = snap.trem
         tnew = snap.tnew

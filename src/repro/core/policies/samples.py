@@ -126,13 +126,22 @@ class JobSample:
 
 
 class SampleStore:
-    """Bucketed collection of :class:`JobSample` records with fallback lookup."""
+    """Bucketed collection of :class:`JobSample` records with fallback lookup.
+
+    Samples live in one bucket per full key, in key-insertion order.  Every
+    key's bucket is also registered, per ``(policy, bound_kind)``, under all
+    eight ways of wildcarding ``(size, utilisation, accuracy)``, so a lookup
+    at any fallback level is one dict access.  A pattern's buckets keep the
+    order their keys were first added in, which is the order a scan of every
+    key would meet them — the sample order the downstream float folds see.
+    """
 
     def __init__(self, max_samples_per_key: int = 64) -> None:
         if max_samples_per_key <= 0:
             raise ValueError("max_samples_per_key must be positive")
         self.max_samples_per_key = max_samples_per_key
         self._samples: Dict[Tuple, List[JobSample]] = {}
+        self._by_pattern: Dict[Tuple, Dict[Tuple, List[List[JobSample]]]] = {}
         self._total = 0
 
     # -- insertion -------------------------------------------------------------
@@ -150,7 +159,22 @@ class SampleStore:
     def add(self, sample: JobSample) -> None:
         """Insert a sample, evicting the oldest entry of a full bucket."""
         key = self._full_key(sample)
-        bucket = self._samples.setdefault(key, [])
+        bucket = self._samples.get(key)
+        if bucket is None:
+            bucket = self._samples[key] = []
+            patterns = self._by_pattern.setdefault(key[:2], {})
+            _, _, size, util, acc = key
+            for pattern in (
+                (size, util, acc),
+                (size, util, None),
+                (size, None, acc),
+                (size, None, None),
+                (None, util, acc),
+                (None, util, None),
+                (None, None, acc),
+                (None, None, None),
+            ):
+                patterns.setdefault(pattern, []).append(bucket)
         bucket.append(sample)
         if len(bucket) > self.max_samples_per_key:
             bucket.pop(0)
@@ -165,27 +189,6 @@ class SampleStore:
 
     # -- lookup -----------------------------------------------------------------
 
-    def _matching(
-        self,
-        policy: str,
-        bound_kind: str,
-        size_bucket: Optional[str],
-        utilization: Optional[str],
-        accuracy: Optional[str],
-    ) -> List[JobSample]:
-        matches: List[JobSample] = []
-        for (pol, bound, size, util, acc), bucket in self._samples.items():
-            if pol != policy or bound != bound_kind:
-                continue
-            if size_bucket is not None and size != size_bucket:
-                continue
-            if utilization is not None and util != utilization:
-                continue
-            if accuracy is not None and acc != accuracy:
-                continue
-            matches.extend(bucket)
-        return matches
-
     def samples_for(
         self,
         policy: str,
@@ -197,18 +200,23 @@ class SampleStore:
         """Samples matching the key, widening it until something matches.
 
         The fallback order drops the least important factor first: accuracy,
-        then utilisation, then job size.
+        then utilisation, then job size.  ``None`` fields are wildcards.
         """
+        patterns = self._by_pattern.get((policy, bound_kind))
+        if patterns is None:
+            return []
         fallback_order: Sequence[Tuple] = (
             (size_bucket, utilization, accuracy),
             (size_bucket, utilization, None),
             (size_bucket, None, None),
             (None, None, None),
         )
-        for size, util, acc in fallback_order:
-            matches = self._matching(policy, bound_kind, size, util, acc)
-            if matches:
-                return matches
+        for pattern in fallback_order:
+            buckets = patterns.get(pattern)
+            if buckets is not None:
+                # Buckets are never empty: one is created by its first
+                # sample and eviction keeps at least one.
+                return [sample for bucket in buckets for sample in bucket]
         return []
 
     # -- aggregate queries ----------------------------------------------------------

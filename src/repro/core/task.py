@@ -267,11 +267,11 @@ class Task:
         if self.is_finished:
             raise RuntimeError("task already finished")
         winning_copy.finish(now)
-        killed = []
-        for copy in self.copies:
-            if copy.is_running():
-                copy.kill(now)
-                killed.append(copy)
+        # ``_running`` lists every running copy in launch order (the winner
+        # too, until the clear below).
+        killed = [copy for copy in self._running if copy is not winning_copy]
+        for copy in killed:
+            copy.kill(now)
         stopped = self._num_running
         self._num_running = 0
         self._running.clear()
@@ -286,11 +286,9 @@ class Task:
     def abandon(self, now: float) -> List[TaskCopy]:
         """Abandon the task (job hit its bound); kill any running copies."""
         was_pending = self.state is TaskState.PENDING
-        killed = []
-        for copy in self.copies:
-            if copy.is_running():
-                copy.kill(now)
-                killed.append(copy)
+        killed = list(self._running)
+        for copy in killed:
+            copy.kill(now)
         stopped = self._num_running
         self._num_running = 0
         self._running.clear()

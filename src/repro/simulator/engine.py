@@ -24,8 +24,12 @@ state), never O(cluster) or O(workload):
 * jobs maintain per-phase pending/completed counters and running-copy totals
   incrementally (see :class:`~repro.core.task.TaskObserver`), so scheduling
   queries never rescan every task;
-* fair-share allocations are recomputed only when a *dirty flag* says the
-  running-job set or some job's schedulable counts actually changed;
+* fair-share allocations are recomputed only when the running-job set or
+  some job's schedulable counts actually changed, and then incrementally:
+  each job's effective limit and their sum are kept, only jobs a launch,
+  copy finish or arrival touched are re-limited, and the max-min loop runs
+  only while the limits exceed the shared capacity (below it, every job
+  is simply granted its limit);
 * ``COPY_FINISH`` events of killed copies and ``JOB_DEADLINE`` events of
   early-finishing jobs are cancelled via :meth:`EventQueue.cancel` rather
   than popped and discarded, keeping the heap small and the simulated
@@ -53,24 +57,26 @@ enforce this):
   (:class:`OracleSchedulingIndex`): a task copy's exact duration is drawn
   once per copy index instead of once per task per scheduling view;
 * policies whose choice is a pure function of the index state declare
-  ``stateless_choose``, letting the engine skip the re-ask after a ``None``
-  decision when nothing it reads has changed (the mandated estimator folds
-  still run);
+  ``stateless_choose`` (GS, RAS and LATE, which picks from the index
+  without materialising snapshots), letting the engine skip the re-ask
+  after a ``None`` decision when nothing it reads has changed — an
+  allocation change counts, since LATE's budget reads ``wave_width`` (the
+  mandated estimator folds still run);
+* the estimator walk reads a task's lone running copy directly (the
+  common case) and scans copies only for speculated tasks;
 * the straggler model reseeds one scratch generator per copy through the
   C-level ``seed`` with a pre-encoded digest prefix, instead of spawning a
   fresh RNG stream per multiplier.
 
-Measured by ``benchmarks/bench_engine_hotpath.py`` at ``default`` scale,
-the flattening took the seed engine from 943 (gs) / 1,096 (grass)
-events/second to 6,419 / 5,651 on the same box — roughly 6.8x and 5.2x
-(about 5.3x / 4.0x after calibration-normalising for machine speed; the
-original 10x target proved out of reach in pure CPython once every remaining
-cost — Mersenne-Twister reseeds, estimator folds, per-epoch re-sorts — was
-shown to be mandated by digest equivalence).  ``BENCH_engine.json`` tracks
-the numbers and ``scripts/check.sh bench-gate`` holds both quick- and
-default-scale throughput to a 30% regression budget.  The oracle index
-took one ``figure8 --scale quick --workers 2`` process (perfbench
-``figure-warmup``, 2-core VM) from a median 1.00 s to 0.61 s.
+Measured with perfbench (``python3 perfbench/run.py --workload replay-cold
+--seed 9173``: one replay CLI process, grass + gs + late over a 300-job
+cluster-shape trace, 4 shards, 2 workers; 10 alternating runs of the
+previous engine and this one on a 2-core VM), the incremental allocation,
+LATE's index path, the single-copy walk and GRASS's indexed sample store
+took replay-cold from a median 414 to 515 simulated jobs per second in one
+session and from 393 to 477 in another (+21% to +24%, faster in 10 of 10
+pairs each; CPU per process about 4.0 s to 3.1-3.3 s), every digest
+unchanged.
 
 Memory
 ------
@@ -102,7 +108,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.core.estimators import EstimatorConfig, TaskEstimator
-from repro.core.job import Job, JobSpec, JobState
+from repro.core.job import Job, JobSpec
 from repro.core.policies.base import (
     OracleSchedulingIndex,
     SchedulingIndex,
@@ -214,10 +220,18 @@ class Simulation:
         # matter (killed copies, jobs that finished before their deadline).
         self._deadline_events: Dict[int, Event] = {}
         self._copy_finish_events: Dict[int, Event] = {}
-        # Fair-share allocations are recomputed lazily: any mutation that can
-        # change a job's demand (or the running-job set) raises this flag.
-        self._alloc_dirty = True
-        # Stateless-choice policies (GS/RAS) let the dispatch loop cache a
+        # Fair-share allocations are recomputed lazily.  Each running job's
+        # effective limit (demand capped by ``max_slots``) is kept in
+        # ``_running_job_ids`` order with their sum; a launch, a copy finish
+        # or an arrival marks its job in ``_alloc_touched`` (its limit is
+        # recomputed), and a job finishing raises ``_alloc_dirty`` (the
+        # others' shares may change).
+        self._alloc_dirty = False
+        self._alloc_touched: Dict[int, None] = {}
+        self._limits: Dict[int, int] = {}
+        self._limit_sum = 0
+        self._congested = False
+        # Stateless-choice policies (GS/RAS/LATE) let the dispatch loop cache a
         # None decision per index state instead of re-asking; see
         # ``SpeculationPolicy.stateless_choose``.
         self._stateless_choice = bool(getattr(policy, "stateless_choose", False))
@@ -341,7 +355,8 @@ class Simulation:
             self.config.estimator, self._rng.spawn(f"estimator/{job_id}")
         )
         self._running_job_ids[job_id] = None
-        self._alloc_dirty = True
+        self._limits[job_id] = 0
+        self._alloc_touched[job_id] = None
         self._recompute_allocations()
         self._set_input_deadline(job)
         if spec.bound.is_deadline:
@@ -379,7 +394,7 @@ class Simulation:
             self._cancel_copy_event(victim.copy_id)
             self._release_copy(job, victim)
             self.metrics.record_wasted_work(victim.end_time - victim.start_time)
-        self._alloc_dirty = True
+        self._alloc_touched[job_id] = None
         actual_duration = copy.end_time - copy.start_time
         estimator.observe_completion(task, actual_duration)
         if job.all_required_work_done():
@@ -435,6 +450,7 @@ class Simulation:
             self.metrics.record_wasted_work(victim.end_time - victim.start_time)
         job.finish(self._now)
         self._running_job_ids.pop(job.job_id, None)
+        self._limit_sum -= self._limits.pop(job.job_id)
         self._alloc_dirty = True
         # Evict the finished job's state the moment its result is recorded:
         # without this, resident jobs/estimators/specs grow with trace length
@@ -452,22 +468,31 @@ class Simulation:
         self.policy.on_job_finish(job, result, self._now)
 
     def _recompute_allocations(self) -> None:
-        if not self._alloc_dirty:
+        """Bring every running job's fair-share allocation up to date.
+
+        Max-min fair share hands every job its full limit whenever the
+        limits sum to at most the shared capacity, so an uncongested pass
+        only writes the touched jobs' limits (every job's on the step out of
+        congestion).  A congested pass runs ``fair_share_limits`` over all
+        limits, in ``_running_job_ids`` order, exactly as a full recompute.
+        A job whose allocation changes has its cached None decision dropped:
+        stateless policies may read ``wave_width``.
+        """
+        if not self._alloc_dirty and not self._alloc_touched:
             return
         self._alloc_dirty = False
-        if not self._running_job_ids:
-            return
         jobs = self._jobs
-        # Effective limits are computed inline (demand capped by max_slots)
-        # and handed straight to the fair-share core, skipping the public
-        # wrapper's intermediate demand/cap dicts.
-        limits: Dict[int, int] = {}
-        for job_id in self._running_job_ids:
+        limits = self._limits
+        limit_sum = self._limit_sum
+        touched = self._alloc_touched
+        for job_id in touched:
+            if job_id not in limits:
+                continue  # finished since it was touched
             job = jobs[job_id]
             # ``schedulable_counts`` inlined: pending tasks plus one extra
             # speculative copy per running task is the job's demand.
             phase = job.current_phase()
-            if phase >= job.spec.dag_length:
+            if phase >= job.dag_length:
                 demand = 1
             else:
                 pending = job._pending_by_phase[phase]
@@ -476,22 +501,41 @@ class Simulation:
                 if demand < 1:
                     demand = 1
             cap = job.spec.max_slots
-            limits[job_id] = demand if cap is None else min(cap, demand)
-        allocations = self.cluster.fair_share_limits(
-            limits, capacity=self._total_slots - self._reserved_slots
-        )
-        for job_id, allocation in allocations.items():
-            jobs[job_id].allocation = allocation
+            limit = demand if cap is None else min(cap, demand)
+            limit_sum += limit - limits[job_id]
+            limits[job_id] = limit
+        self._limit_sum = limit_sum
+        capacity = self._total_slots - self._reserved_slots
+        if limit_sum > capacity:
+            self._congested = True
+            allocations = self.cluster.fair_share_limits(limits, capacity=capacity)
+            job_ids: Iterable[int] = allocations
+        else:
+            allocations = limits
+            job_ids = limits if self._congested else touched
+            self._congested = False
+        sched_index = self._sched_index
+        for job_id in job_ids:
+            allocation = allocations.get(job_id)
+            if allocation is None:
+                continue  # finished since it was touched
+            job = jobs[job_id]
+            if job.allocation != allocation:
+                job.allocation = allocation
+                index = sched_index.get(job_id)
+                if index is not None:
+                    index.choice_void = False
+        touched.clear()
 
     # ------------------------------------------------------------------ dispatch
 
     def _dispatch(self) -> None:
         """Give every running job a chance to fill its allocation."""
         # Nothing below mutates the running-job set (jobs finish in event
-        # handlers, never mid-dispatch), so the id dict is iterated directly;
-        # slot capacity is likewise loop-invariant.  ``busy + reserved >=
-        # total`` subsumes the old ``has_free_slot`` check since reserved
-        # slots cannot be negative.
+        # handlers, never mid-dispatch), so the id dict is iterated directly
+        # and every job in it is running; slot capacity is likewise
+        # loop-invariant.  ``busy + reserved >= total`` subsumes the old
+        # ``has_free_slot`` check since reserved slots cannot be negative.
         cluster = self.cluster
         jobs = self._jobs
         choose_task = self.policy.choose_task
@@ -506,8 +550,6 @@ class Simulation:
             progress = False
             for job_id in self._running_job_ids:
                 job = jobs[job_id]
-                if job.state != JobState.RUNNING:
-                    continue
                 if job._running_copy_total >= job.allocation:
                     continue
                 if cluster._busy_count + reserved >= total:
@@ -646,7 +688,7 @@ class Simulation:
         if speculative:
             job.speculative_copies_launched += 1
         self.metrics.record_copy_launch(speculative)
-        self._alloc_dirty = True
+        self._alloc_touched[job_id] = None
         self._copy_finish_events[copy_id] = self._events.push(
             self._now + duration,
             EventKind.COPY_FINISH,

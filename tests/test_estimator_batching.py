@@ -12,9 +12,10 @@ caches, eviction generation and RNG state must all be bit-equal.
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import count, permutations
 from typing import List, Tuple
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,3 +133,37 @@ class TestBatchedWalksMatchUnbatched:
         assert samples == reference.completed_samples
         assert hexes(max(1e-6, (rate * first.work) * noise)) == hexes(reference.tnew(first))
         assert estimator_state(batched) == estimator_state(reference)
+
+
+#: Copies ``(start, duration)`` of one task that all finish at t=9, so at
+#: ``now=5`` their true remaining times tie at 4 while their progress (and
+#: hence their trem noise keys and extrapolations) differ.
+TIED_COPIES = ((0.0, 9.0), (5.0, 4.0), (2.5, 6.5))
+
+
+@pytest.mark.parametrize("order", list(permutations(range(len(TIED_COPIES)))))
+@pytest.mark.parametrize("walk", ("snapshot_running", "update_running_snaps"))
+def test_best_copy_ties_keep_launch_order(order, walk):
+    """Copies tied on remaining time: the first launched is the best copy.
+
+    The unbatched ``trem`` takes ``min`` over the running copies, which
+    keeps the first of equal keys; both batched walks must pick the same
+    copy, whichever of the tied copies launched first.
+    """
+    job = Job(make_job_spec([3.0, 3.0], ApproximationBound.exact()))
+    job.start(0.0)
+    task = job.tasks[0]
+    for copy_id, index in enumerate(order):
+        start, duration = TIED_COPIES[index]
+        task.add_copy(TaskCopy(copy_id, 0, 0, start, duration))
+    config = EstimatorConfig(trem_noise=0.3, tnew_noise=0.3)
+    batched = make_estimator(job, [], config, seed=3, near_eviction=False)
+    reference = make_estimator(job, [], config, seed=3, near_eviction=False)
+    if walk == "snapshot_running":
+        tnew, trem, actual, _ = batched.snapshot_running(task, 5.0)
+    else:
+        snap = TaskSnapshot(task, True, 1, 1.0, 1.0)
+        batched.update_running_snaps({0: snap}, [0], 5.0)
+        tnew, trem, actual = snap.tnew, snap.trem, snap._actual
+    assert hexes(tnew, trem, actual) == hexes(*unbatched(reference, task, 5.0))
+    assert estimator_state(batched) == estimator_state(reference)

@@ -15,7 +15,7 @@ between scheduling rounds.  Three properties are checked after every
 * On views served by either index kind, the index-backed ``_fast_deadline``
   / ``_fast_error`` of GS and RAS pick the same snapshot as the generic
   list-based ``_choose_deadline`` / ``_choose_error``, which now exist only
-  as their reference.
+  as their reference; likewise LATE's ``_fast`` and list-based ``_choose``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.late import LatePolicy
 from repro.core.bounds import ApproximationBound
 from repro.core.estimators import EstimatorConfig, TaskEstimator
 from repro.core.job import Job, JobSpec
@@ -318,12 +319,29 @@ class TestEstimatedIndexMatchesUnbatchedWalk:
         check_estimated_index(spec, ops, seed=7, noise=0.3, prefill=prefill)
 
 
+#: LATE variants: the defaults, a budget that grows with every slot and
+#: admits brand-new copies, and a strict straggler percentile.
+LATE_POLICIES = (
+    LatePolicy(),
+    LatePolicy(slow_task_percentile=50.0, speculative_cap=1.0,
+               min_runtime_before_speculation=0.0),
+    LatePolicy(slow_task_percentile=10.0, speculative_cap=0.3),
+)
+#: Wave widths around LATE's budget steps (``int(cap * width)``).
+WAVE_WIDTHS = (0, 1, 3, 7, 10, 20)
+#: Clock offsets past the index's ``now``: copies cross the one-second
+#: minimum runtime, and far ahead every copy is overdue.
+CLOCK_OFFSETS = (0.0, 0.5, 1.0, 4.0, 100.0)
+
+
 def assert_fast_matches_generic(index: SchedulingIndex, now: float) -> None:
-    """Every GS/RAS fast chooser picks the generic chooser's snapshot.
+    """Every GS/RAS/LATE fast chooser picks the generic chooser's snapshot.
 
     Deadlines sweep ``None``, 0 and every snapshot's exact ``tnew``/``trem``
     (the ``tnew <= remaining`` boundaries); required counts sweep the
     "all remaining" sentinel, small windows and more than there are tasks.
+    LATE is swept over wave widths (its speculative budget) and clocks
+    (its minimum runtime and progress rates).
     """
     job = index.job
     view = SchedulingView(
@@ -357,6 +375,13 @@ def assert_fast_matches_generic(index: SchedulingIndex, now: float) -> None:
                 view.remaining_required_tasks = required
                 fast = policy._fast_error(view, index)
                 assert fast is policy._choose_error(view), (policy.name, required)
+    for late in LATE_POLICIES:
+        for wave_width in WAVE_WIDTHS:
+            view.wave_width = wave_width
+            for offset in CLOCK_OFFSETS:
+                view.now = now + offset
+                fast = late._fast(view, index)
+                assert fast is late._choose(view), (wave_width, offset)
 
 
 class TestFastChoosersMatchGeneric:
